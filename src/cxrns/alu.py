@@ -156,17 +156,28 @@ class MulTrace:
     imag_rows: tuple[int, int]
 
 
-def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int) -> tuple[int, int, int, int]:
-    """Multiplier dataflow on raw nonzero-path fields; returns (r, borrow, i, carry)."""
+def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int,
+                luts: Optional["LutBank"] = None, trace: bool = False):
+    """Multiplier dataflow on raw nonzero-path fields; returns (r, borrow, i, carry).
+
+    ``luts`` takes the partial products and final sums from materialized
+    tables.  With ``trace`` the result is ((r, borrow, i, carry), MulTrace).
+    """
     mask = (1 << n) - 1
 
-    p1 = (1 + xr) * (1 + yr)
+    if luts is None:
+        p1 = (1 + xr) * (1 + yr)
+        p2 = (1 + xr) * yi
+        p3 = xi * (1 + yr)
+        p4 = xi * yi
+    else:
+        p1 = luts.pp_inc_inc(xr, yr)
+        p2 = luts.pp_inc_raw(xr, yi)
+        p3 = luts.pp_raw_inc(xi, yr)
+        p4 = luts.pp_raw_raw(xi, yi)
     c = p1 >> (2 * n)
     h_rr = (p1 >> n) & mask
     l_rr = p1 & mask
-    p2 = (1 + xr) * yi
-    p3 = xi * (1 + yr)
-    p4 = xi * yi
 
     # Real column stack: l_rr + ~l_ii + ~h_ri + ~h_ir + ~c.
     u, vh, cn, vn = _compress42(
@@ -195,9 +206,20 @@ def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int) -> tuple[int, int, i
 
     # Final n-bit adders; the real one carries the pending +1.  Real
     # carry-out becomes the stored carry, imaginary carry-out the borrow.
-    sr = w + z + 1
-    si = w2 + z2
-    return sr & mask, si >> n, si & mask, sr >> n
+    if luts is None:
+        sr = w + z + 1
+        si = w2 + z2
+        fields = sr & mask, si >> n, si & mask, sr >> n
+    else:
+        pr, cp = luts.final_sum(w, z, 1)
+        pi, bp = luts.final_sum(w2, z2, 0)
+        fields = pr, bp, pi, cp
+    if not trace:
+        return fields
+    partials = PartialProducts(c, h_rr, l_rr, p2 >> n, p2 & mask, p3 >> n, p3 & mask,
+                               p4 >> n, p4 & mask)
+    return fields, MulTrace(partials, CompressorOutput(u, vh, cn, vn),
+                            CompressorOutput(u2, vh2, cn2, vn2), (w, z), (w2, z2))
 
 
 def mul(x: FreshOperand, y: FreshOperand, params: Params,
@@ -211,10 +233,7 @@ def mul(x: FreshOperand, y: FreshOperand, params: Params,
         raise ValueError("operands must live on the same conjugate channel")
     if x.zflag or y.zflag:
         return canonical_zero(x.sign)
-    if luts is not None:
-        res, _ = _mul_with_trace(x, y, params, luts)
-        return res
-    fields = _mul_fields(params.n, x.xr, x.xi, y.xr, y.xi)
+    fields = _mul_fields(params.n, x.xr, x.xi, y.xr, y.xi, luts)
     return ComplexChannelResidue(*fields, x.sign)
 
 
@@ -224,44 +243,8 @@ def mul_trace(x: FreshOperand, y: FreshOperand, params: Params) -> tuple[Complex
         raise ValueError("operands must live on the same conjugate channel")
     if x.zflag or y.zflag:
         return canonical_zero(x.sign), None
-    return _mul_with_trace(x, y, params, None)
-
-
-def _mul_with_trace(x: FreshOperand, y: FreshOperand, params: Params,
-                    luts: Optional["LutBank"]) -> tuple[ComplexChannelResidue, MulTrace]:
-    n = params.n
-    mask = params.mask
-    pp = lut_partials(x, y, params, luts)
-
-    real = CompressorOutput(*_compress42(
-        n, pp.l_rr, pp.l_ii ^ mask, pp.h_ri ^ mask, pp.h_ir ^ mask, pp.c ^ 1, 0
-    ))
-    imag = CompressorOutput(*_compress42(
-        n, pp.h_rr, pp.l_ri, pp.l_ir, pp.h_ii ^ mask, real.c_out, real.v_out
-    ))
-
-    b1 = real.v | (imag.v_out ^ 1)
-    d1 = imag.c_out ^ 1
-    w = real.u ^ b1 ^ d1
-    carry = ((real.u & b1) | (real.u & d1) | (b1 & d1)) << 1
-    const = mask ^ 1  # 2^n - 2
-    w2 = imag.u ^ imag.v ^ const
-    carry2 = ((imag.u & imag.v) | (imag.u & const) | (imag.v & const)) << 1
-    z = (carry & mask) | ((carry2 >> n) ^ 1)
-    z2 = (carry2 & mask) | (carry >> n)
-
-    if luts is not None:
-        pr, cp = luts.final_sum(w, z, 1)
-        pi, bp = luts.final_sum(w2, z2, 0)
-    else:
-        sr = w + z + 1
-        si = w2 + z2
-        pr, cp = sr & mask, sr >> n
-        pi, bp = si & mask, si >> n
-
-    res = ComplexChannelResidue(pr, bp, pi, cp, x.sign)
-    trace = MulTrace(pp, real, imag, (w, z), (w2, z2))
-    return res, trace
+    fields, trace = _mul_fields(params.n, x.xr, x.xi, y.xr, y.xi, trace=True)
+    return ComplexChannelResidue(*fields, x.sign), trace
 
 
 def intermediate_ri(x: FreshOperand, y: FreshOperand, params: Params) -> tuple[int, int]:

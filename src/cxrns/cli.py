@@ -215,10 +215,6 @@ def _cmd_op(args) -> int:
     return 0 if match else 1
 
 
-_VERIFY_UNITS = ("adder", "multiplier", "forward", "roundtrip", "compressor",
-                 "normalize")
-
-
 def _cmd_verify(args) -> int:
     mode = "random" if args.random else "exhaustive"
     report = sweeps.run_verify(
@@ -261,11 +257,6 @@ def _cmd_dr(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker processes for sweeps")
-    common.add_argument("--trace", action="store_true",
-                        help="dump per-stage words (op subcommand)")
 
     parser = argparse.ArgumentParser(
         prog="cxrns",
@@ -289,19 +280,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("x", type=int)
     p_op.add_argument("y", type=int)
     p_op.add_argument("--n", type=int, required=True, help="channel width")
+    p_op.add_argument("--trace", action="store_true", help="dump per-stage words (mul)")
     p_op.set_defaults(func=_cmd_op)
 
     p_verify = sub.add_parser("verify", parents=[common],
                               help="exhaustive/randomized unit verification")
-    p_verify.add_argument("unit", choices=_VERIFY_UNITS)
+    p_verify.add_argument("unit", choices=tuple(sweeps.UNITS))
     p_verify.add_argument("--n", type=int, required=True, help="channel width")
     p_verify.add_argument("--p", type=int, default=0,
                           help="power-of-two extension (roundtrip set)")
-    mode = p_verify.add_mutually_exclusive_group()
-    mode.add_argument("--exhaustive", action="store_true", default=True)
-    mode.add_argument("--random", action="store_true")
+    p_verify.add_argument("--random", action="store_true",
+                          help="seeded random cases instead of the exhaustive space")
     p_verify.add_argument("--samples", type=int, default=1_000_000,
                           help="cases in random mode")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
+    p_verify.add_argument("--workers", type=int, default=1,
+                          help="worker processes (at most the CPU count)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_dr = sub.add_parser("dr", parents=[common],

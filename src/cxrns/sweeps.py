@@ -6,6 +6,10 @@ the lowest failing case.  Hot sweeps dispatch to the compiled kernels
 when the extension is importable (and the unit fits 64-bit math at the
 requested width); everything falls back to the pure-Python dataflow.
 
+Each unit is one entry of ``UNITS``: its input fields and a case function
+that runs the device under test.  The case space, both decoders, the pure
+loop and the counterexample record all derive from that entry.
+
 Case ordering is part of the contract: exhaustive sweeps walk a single
 flat index, random sweeps use a counter-based generator, so results are
 identical across backends and across any contiguous partitioning into
@@ -14,9 +18,14 @@ worker chunks.
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import compress, count, islice, product, repeat, starmap
+from operator import add, mod, ne
+from typing import Callable, NamedTuple, Optional
 
 from . import alu, forward, reverse
 from .core import (
@@ -39,12 +48,6 @@ except ImportError:  # pure-Python install
 
 _ENV_PURE = "CXRNS_PURE"
 
-UNITS = ("adder", "multiplier", "checkpoint", "forward", "roundtrip",
-         "compressor", "csa", "normalize")
-
-# Units with no compiled kernel (they are tiny or arbitrary-precision).
-_PURE_ONLY = ("csa", "normalize")
-
 
 def compiled_available() -> bool:
     return _C is not None
@@ -58,29 +61,22 @@ def backend_name(force_pure: bool = False) -> str:
     return "compiled" if _use_compiled(force_pure) else "pure"
 
 
-def _compiled_supported(unit: str, n: int) -> bool:
-    if unit in _PURE_ONLY:
-        return False
-    if unit == "forward":
-        return 5 * n <= 63
-    if unit == "roundtrip":
-        return n <= 10
-    return True
-
-
 # --- counter-based PRNG (mirrors the compiled splitmix64 exactly) ------------
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_SLOTS = 8  # counter slots per random case: case idx draws from idx*8 + slot
 
 
 def _mix64(x: int) -> int:
+    x &= _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
 
 
 def _draw(seed: int, counter: int) -> int:
-    return _mix64((seed + (counter + 1) * 0x9E3779B97F4A7C15) & _MASK64)
+    return _mix64(seed + (counter + 1) * _GOLDEN)
 
 
 def _draw_range(seed: int, counter: int, span: int) -> int:
@@ -92,147 +88,41 @@ def _draw_range(seed: int, counter: int, span: int) -> int:
     return acc % span
 
 
-# --- case spaces --------------------------------------------------------------
+# --- unit specs -----------------------------------------------------------------
+
+class Field(NamedTuple):
+    """One input of a case, taking the values base .. base + span - 1.
+
+    A random case idx draws it from counter idx*8 + slot; a field whose
+    slot is None makes its unit exhaustive-only.
+    """
+
+    name: str
+    span: int
+    slot: Optional[int]
+    base: int = 0
+
+
+class Unit(NamedTuple):
+    """A verify unit.
+
+    ``build(params)`` returns the unit's fields, most significant first,
+    and a case function taking their values and returning (got, want):
+    got from the device under test, want from plain modular arithmetic.
+    ``kernel`` names the compiled ``sweep_<kernel>_exh``/``_rand`` pair,
+    which covers widths up to ``max_n``; ``kernel_args(n, p)`` gives the
+    kernel's extra leading arguments.
+    """
+
+    build: Callable
+    kernel: Optional[str] = None
+    max_n: int = 31
+    kernel_args: Callable = lambda n, p: ()
+
 
 def _fset(n: int, p: int) -> ModuliSet:
     return moduli_set_build(f_set(n, p))
 
-
-def total_cases(unit: str, n: int, p: int, mode: str, samples: int) -> int:
-    if mode == "random":
-        return samples
-    top = 1 << (2 * n)
-    if unit == "adder":
-        return (top + 1) * (4 * top)
-    if unit == "multiplier":
-        return (top + 1) * (top + 1)
-    if unit == "checkpoint":
-        return top * top
-    if unit == "forward":
-        return (1 << n) * ((1 << (4 * n)) - 1)
-    if unit == "roundtrip":
-        return _fset(n, p).dynamic_range
-    if unit == "compressor":
-        return 4 << (4 * n)
-    if unit == "csa":
-        return 1 << (5 * n)
-    if unit == "normalize":
-        return 4 * top
-    raise ValueError(f"unknown unit {unit!r}")
-
-
-def _decode(unit: str, n: int, p: int, mode: str, seed: int, idx: int) -> dict:
-    """Rebuild the inputs of case `idx`; shared by both backends."""
-    top = 1 << (2 * n)
-    size = 1 << n
-    if unit == "adder":
-        if mode == "exhaustive":
-            states = 4 * top
-            x, st = divmod(idx, states)
-            return {"x": x, "r": (st >> 2) & (size - 1), "borrow": st & 1,
-                    "i": st >> (n + 2), "carry": (st >> 1) & 1}
-        return {"x": _draw_range(seed, idx * 8, top + 1),
-                "r": _draw_range(seed, idx * 8 + 1, size),
-                "borrow": _draw(seed, idx * 8 + 3) & 1,
-                "i": _draw_range(seed, idx * 8 + 2, size),
-                "carry": _draw(seed, idx * 8 + 4) & 1}
-    if unit == "multiplier":
-        if mode == "exhaustive":
-            x, y = divmod(idx, top + 1)
-        else:
-            x = _draw_range(seed, idx * 8, top + 1)
-            y = _draw_range(seed, idx * 8 + 1, top + 1)
-        return {"x": x, "y": y}
-    if unit == "checkpoint":
-        return {"x": 1 + idx // top, "y": 1 + idx % top}
-    if unit == "forward":
-        span = (1 << n) * ((1 << (4 * n)) - 1)
-        return {"z": idx if mode == "exhaustive" else _draw_range(seed, idx * 8, span)}
-    if unit == "roundtrip":
-        span = _fset(n, p).dynamic_range
-        return {"z": idx if mode == "exhaustive" else _draw_range(seed, idx * 8, span)}
-    if unit == "compressor":
-        if mode == "exhaustive":
-            mask = size - 1
-            return {"a": idx >> (2 + 3 * n), "b": (idx >> (2 + 2 * n)) & mask,
-                    "c": (idx >> (2 + n)) & mask, "d": (idx >> 2) & mask,
-                    "carry_ins": [(idx >> 1) & 1, idx & 1]}
-        return {"a": _draw_range(seed, idx * 8, size),
-                "b": _draw_range(seed, idx * 8 + 1, size),
-                "c": _draw_range(seed, idx * 8 + 2, size),
-                "d": _draw_range(seed, idx * 8 + 3, size),
-                "carry_ins": [_draw(seed, idx * 8 + 4) & 1,
-                              _draw(seed, idx * 8 + 5) & 1]}
-    if unit == "csa":
-        wide = 2 * n
-        wmask = (1 << wide) - 1
-        if mode == "exhaustive":
-            return {"z2": idx >> (4 * n), "z1": (idx >> wide) & wmask, "z0": idx & wmask}
-        return {"z2": _draw_range(seed, idx * 8, size),
-                "z1": _draw_range(seed, idx * 8 + 1, wmask + 1),
-                "z0": _draw_range(seed, idx * 8 + 2, wmask + 1)}
-    if unit == "normalize":
-        if mode == "exhaustive":
-            mask = size - 1
-            return {"r": (idx >> 2) & mask, "borrow": idx & 1,
-                    "i": idx >> (n + 2), "carry": (idx >> 1) & 1}
-        return {"r": _draw_range(seed, idx * 8, size),
-                "borrow": _draw(seed, idx * 8 + 1) & 1,
-                "i": _draw_range(seed, idx * 8 + 2, size),
-                "carry": _draw(seed, idx * 8 + 3) & 1}
-    raise ValueError(f"unknown unit {unit!r}")
-
-
-def _describe(unit: str, n: int, p: int, mode: str, seed: int, idx: int) -> dict:
-    """Counterexample record: verbatim inputs plus got/want values."""
-    params = Params(n, p)
-    m = params.modulus
-    rec = _decode(unit, n, p, mode, seed, idx)
-    if unit == "adder":
-        got = _phi_fields(n, m, alu._add_fields(n, *_fresh_fields(n, rec["x"]),
-                                                rec["r"], rec["borrow"], rec["i"], rec["carry"]))
-        want = (rec["x"] + rec["r"] - rec["borrow"]
-                + ((rec["i"] + rec["carry"]) << n)) % m
-    elif unit == "multiplier":
-        xr, xi, xz = _fresh_fields(n, rec["x"])
-        yr, yi, yz = _fresh_fields(n, rec["y"])
-        got = 0 if (xz or yz) else _phi_fields(n, m, alu._mul_fields(n, xr, xi, yr, yi))
-        want = (rec["x"] * rec["y"]) % m
-    elif unit == "checkpoint":
-        x = _fresh_operand(n, rec["x"])
-        y = _fresh_operand(n, rec["y"])
-        r_sum, i_sum = alu.intermediate_ri(x, y, params)
-        got = (r_sum + (i_sum << n)) % m
-        want = (rec["x"] * rec["y"]) % m
-    elif unit == "forward":
-        got = dim1_value(forward.forward_22n1(rec["z"], params))
-        want = rec["z"] % m
-    elif unit == "roundtrip":
-        mset = _fset(n, p)
-        got = reverse.ncrt_reverse(forward.forward_std(rec["z"], mset),
-                                   reverse.ncrt_plan(mset))
-        want = rec["z"]
-    elif unit == "compressor":
-        out = alu.compress42(rec["a"], rec["b"], rec["c"], rec["d"],
-                             rec["carry_ins"], params)
-        got = out.u + out.v + ((out.c_out + out.v_out) << n)
-        want = rec["a"] + rec["b"] + rec["c"] + rec["d"] + sum(rec["carry_ins"])
-    elif unit == "csa":
-        pair = forward.csa_mod_22n1(rec["z2"], rec["z1"], rec["z0"], params)
-        got = (pair.u + pair.v) % m
-        want = (rec["z2"] + (rec["z1"] ^ params.wide_mask) + rec["z0"] + 1) % m
-    elif unit == "normalize":
-        s = ComplexChannelResidue(rec["r"], rec["borrow"], rec["i"], rec["carry"])
-        got = operand_value(reverse.normalize(s, params), params)
-        want = (rec["r"] - rec["borrow"] + ((rec["i"] + rec["carry"]) << n)) % m
-    else:
-        raise ValueError(f"unknown unit {unit!r}")
-    rec["got"] = got
-    rec["want"] = want
-    return rec
-
-
-# --- pure-Python chunk loops ---------------------------------------------------
 
 def _fresh_fields(n: int, v: int) -> tuple[int, int, int]:
     if v == 0:
@@ -245,222 +135,197 @@ def _fresh_operand(n: int, v: int) -> FreshOperand:
     return FreshOperand(*_fresh_fields(n, v), ChannelSign.MINUS)
 
 
-def _phi_fields(n: int, m: int, fields: tuple[int, int, int, int]) -> int:
-    r, b, i, c = fields
-    return (r - b + ((i + c) << n)) % m
-
-
-def _pure_adder(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    m = (1 << (2 * n)) + 1
-    top = m - 1
+def _adder(params: Params):
+    n, m = params.n, params.modulus
     size = 1 << n
-    mask = size - 1
-    states = 4 * top
     add_fields = alu._add_fields
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        if mode == "exhaustive":
-            x, st = divmod(idx, states)
-            b = st & 1
-            c = (st >> 1) & 1
-            r = (st >> 2) & mask
-            i = st >> (n + 2)
-        else:
-            x = _draw(seed, idx * 8) % m
-            r = _draw(seed, idx * 8 + 1) % size
-            i = _draw(seed, idx * 8 + 2) % size
-            b = _draw(seed, idx * 8 + 3) & 1
-            c = _draw(seed, idx * 8 + 4) & 1
-        got = _phi_fields(n, m, add_fields(n, *_fresh_fields(n, x), r, b, i, c))
-        if got != (x + r - b + ((i + c) << n)) % m:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+
+    def case(x, i, r, carry, borrow):
+        sr, sb, si, sc = add_fields(n, *_fresh_fields(n, x), r, borrow, i, carry)
+        return (sr - sb + ((si + sc) << n)) % m, (x + r - borrow + ((i + carry) << n)) % m
+
+    return (Field("x", m, 0), Field("i", size, 2), Field("r", size, 1),
+            Field("carry", 2, 4), Field("borrow", 2, 3)), case
 
 
-def _pure_multiplier(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    m = (1 << (2 * n)) + 1
+def _multiplier(params: Params):
+    n, m, mask = params.n, params.modulus, params.mask
     mul_fields = alu._mul_fields
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        if mode == "exhaustive":
-            x, y = divmod(idx, m)
-        else:
-            x = _draw(seed, idx * 8) % m
-            y = _draw(seed, idx * 8 + 1) % m
-        xr, xi, xz = _fresh_fields(n, x)
-        yr, yi, yz = _fresh_fields(n, y)
-        got = 0 if (xz or yz) else _phi_fields(n, m, mul_fields(n, xr, xi, yr, yi))
-        if got != (x * y) % m:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+
+    def case(x, y):
+        want = x * y % m
+        if not (x and y):  # a zero flag gates the product to canonical zero
+            return 0, want
+        x -= 1
+        y -= 1
+        r, b, i, c = mul_fields(n, x & mask, x >> n, y & mask, y >> n)
+        return (r - b + ((i + c) << n)) % m, want
+
+    return (Field("x", m, 0), Field("y", m, 1)), case
 
 
-def _pure_checkpoint(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    params = Params(n)
-    m = params.modulus
-    top = 1 << (2 * n)
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        x = 1 + idx // top
-        y = 1 + idx % top
+def _checkpoint(params: Params):
+    n, m = params.n, params.modulus
+    top = m - 1
+
+    def case(x, y):
         r_sum, i_sum = alu.intermediate_ri(_fresh_operand(n, x), _fresh_operand(n, y), params)
-        if (r_sum + (i_sum << n)) % m != (x * y) % m:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+        return (r_sum + (i_sum << n)) % m, x * y % m
+
+    # Nonzero operand pairs only.
+    return (Field("x", top, None, 1), Field("y", top, None, 1)), case
 
 
-def _pure_forward(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    params = Params(n)
-    m = params.modulus
-    span = (1 << n) * ((1 << (4 * n)) - 1)
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        z = idx if mode == "exhaustive" else _draw_range(seed, idx * 8, span)
-        if dim1_value(forward.forward_22n1(z, params)) != z % m:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+def _forward(params: Params):
+    n, m = params.n, params.modulus
+
+    def case(z):
+        return dim1_value(forward.forward_22n1(z, params)), z % m
+
+    return (Field("z", (1 << n) * ((1 << (4 * n)) - 1), 0),), case
 
 
-def _pure_roundtrip(n: int, p: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    mset = _fset(n, p)
+def _roundtrip(params: Params):
+    mset = _fset(params.n, params.p)
     plan = reverse.ncrt_plan(mset)
-    span = mset.dynamic_range
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        z = idx if mode == "exhaustive" else _draw_range(seed, idx * 8, span)
-        if reverse.ncrt_reverse(forward.forward_std(z, mset), plan) != z:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+
+    def case(z):
+        return reverse.ncrt_reverse(forward.forward_std(z, mset), plan), z
+
+    return (Field("z", mset.dynamic_range, 0),), case
 
 
-def _pure_compressor(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
+def _roundtrip_kernel_args(n: int, p: int) -> tuple[int, ...]:
+    return (p, *reverse.ncrt_plan(_fset(n, p)).mu)
+
+
+def _compressor(params: Params):
+    n = params.n
     size = 1 << n
-    mask = size - 1
     compress = alu._compress42
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        if mode == "exhaustive":
-            v0 = idx & 1
-            t0 = (idx >> 1) & 1
-            d = (idx >> 2) & mask
-            c = (idx >> (2 + n)) & mask
-            b = (idx >> (2 + 2 * n)) & mask
-            a = idx >> (2 + 3 * n)
-        else:
-            a = _draw(seed, idx * 8) % size
-            b = _draw(seed, idx * 8 + 1) % size
-            c = _draw(seed, idx * 8 + 2) % size
-            d = _draw(seed, idx * 8 + 3) % size
-            t0 = _draw(seed, idx * 8 + 4) & 1
-            v0 = _draw(seed, idx * 8 + 5) & 1
-        u, v, c_out, v_out = compress(n, a, b, c, d, t0, v0)
-        if u + v + ((c_out + v_out) << n) != a + b + c + d + t0 + v0:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+
+    def case(a, b, c, d, t_in, v_in):
+        u, v, c_out, v_out = compress(n, a, b, c, d, t_in, v_in)
+        return u + v + ((c_out + v_out) << n), a + b + c + d + t_in + v_in
+
+    return (Field("a", size, 0), Field("b", size, 1), Field("c", size, 2),
+            Field("d", size, 3), Field("t_in", 2, 4), Field("v_in", 2, 5)), case
 
 
-def _pure_csa(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    params = Params(n)
-    m = params.modulus
-    wmask = params.wide_mask
-    wide = 2 * n
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        if mode == "exhaustive":
-            z0 = idx & wmask
-            z1 = (idx >> wide) & wmask
-            z2 = idx >> (4 * n)
-        else:
-            z2 = _draw(seed, idx * 8) % (1 << n)
-            z1 = _draw_range(seed, idx * 8 + 1, wmask + 1)
-            z0 = _draw_range(seed, idx * 8 + 2, wmask + 1)
+def _csa(params: Params):
+    m, wmask = params.modulus, params.wide_mask
+
+    def case(z2, z1, z0):
         pair = forward.csa_mod_22n1(z2, z1, z0, params)
-        if (pair.u + pair.v) % m != (z2 + (z1 ^ wmask) + z0 + 1) % m:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+        return (pair.u + pair.v) % m, (z2 + (z1 ^ wmask) + z0 + 1) % m
+
+    return (Field("z2", 1 << params.n, 0), Field("z1", wmask + 1, 1),
+            Field("z0", wmask + 1, 2)), case
 
 
-def _pure_normalize(n: int, mode: str, seed: int, lo: int, hi: int) -> tuple[int, int]:
-    params = Params(n)
-    m = params.modulus
+def _normalize(params: Params):
+    n, m = params.n, params.modulus
     size = 1 << n
-    mask = size - 1
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        if mode == "exhaustive":
-            b = idx & 1
-            c = (idx >> 1) & 1
-            r = (idx >> 2) & mask
-            i = idx >> (n + 2)
-        else:
-            r = _draw(seed, idx * 8) % size
-            b = _draw(seed, idx * 8 + 1) & 1
-            i = _draw_range(seed, idx * 8 + 2, size)
-            c = _draw(seed, idx * 8 + 3) & 1
-        s = ComplexChannelResidue(r, b, i, c)
-        if operand_value(reverse.normalize(s, params), params) != (r - b + ((i + c) << n)) % m:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+
+    def case(i, r, carry, borrow):
+        s = ComplexChannelResidue(r, borrow, i, carry)
+        return (operand_value(reverse.normalize(s, params), params),
+                (r - borrow + ((i + carry) << n)) % m)
+
+    return (Field("i", size, 2), Field("r", size, 0), Field("carry", 2, 3),
+            Field("borrow", 2, 1)), case
 
 
-_PURE_RUNNERS = {
-    "adder": _pure_adder,
-    "multiplier": _pure_multiplier,
-    "checkpoint": _pure_checkpoint,
-    "forward": _pure_forward,
-    "compressor": _pure_compressor,
-    "csa": _pure_csa,
-    "normalize": _pure_normalize,
+# csa and normalize have no kernel: they are tiny or arbitrary-precision.
+UNITS = {
+    "adder": Unit(_adder, "adder"),
+    "multiplier": Unit(_multiplier, "mul"),
+    "checkpoint": Unit(_checkpoint, "checkpoint"),
+    "forward": Unit(_forward, "forward", max_n=12),  # 5n-bit inputs in 63 bits
+    "roundtrip": Unit(_roundtrip, "roundtrip", max_n=10, kernel_args=_roundtrip_kernel_args),
+    "compressor": Unit(_compressor, "compressor"),
+    "csa": Unit(_csa),
+    "normalize": Unit(_normalize),
 }
+
+
+def _compiled_supported(unit: str, n: int) -> bool:
+    spec = UNITS[unit]
+    return spec.kernel is not None and n <= spec.max_n
+
+
+# --- case spaces --------------------------------------------------------------
+
+def total_cases(unit: str, n: int, p: int, mode: str, samples: int) -> int:
+    if unit not in UNITS:
+        raise ValueError(f"unknown unit {unit!r}")
+    if mode == "random":
+        return samples
+    fields, _ = UNITS[unit].build(Params(n, p))
+    return math.prod(f.span for f in fields)
+
+
+def _draws(seed: int, f: Field, lo: int, hi: int):
+    """Values of field `f` for random cases [lo, hi), in case order."""
+    first = lo * _SLOTS + f.slot
+    if f.span.bit_length() > 64:  # wide draw, see _draw_range
+        values = map(_draw_range, repeat(seed), range(first, hi * _SLOTS + f.slot, _SLOTS),
+                     repeat(f.span))
+    else:  # one _draw per case, as C-level iterator stages
+        step = _SLOTS * _GOLDEN
+        start = seed + (first + 1) * _GOLDEN
+        keys = range(start, start + (hi - lo) * step, step)
+        values = map(mod, map(_mix64, keys), repeat(f.span))
+    return map(add, values, repeat(f.base)) if f.base else values
+
+
+def _cases(fields: tuple[Field, ...], mode: str, seed: int, lo: int, hi: int):
+    """Field-value tuples of cases [lo, hi); exhaustive order is the flat index."""
+    if mode == "exhaustive":
+        every = product(*(range(f.base, f.base + f.span) for f in fields))
+        # Skipping to lo costs ~10 ns a case, far below a case's own cost.
+        return islice(every, lo, hi)
+    return zip(*(_draws(seed, f, lo, hi) for f in fields))
+
+
+def _case_at(fields: tuple[Field, ...], mode: str, seed: int, idx: int) -> list[int]:
+    """Field values of the single case `idx`, as `_cases` yields them."""
+    if mode == "random":
+        return [f.base + _draw_range(seed, idx * _SLOTS + f.slot, f.span) for f in fields]
+    values = []
+    for f in reversed(fields):
+        idx, digit = divmod(idx, f.span)
+        values.append(f.base + digit)
+    return values[::-1]
+
+
+def _describe(unit: str, n: int, p: int, mode: str, seed: int, idx: int) -> dict:
+    """Counterexample record: verbatim inputs plus got/want values."""
+    fields, case = UNITS[unit].build(Params(n, p))
+    values = _case_at(fields, mode, seed, idx)
+    rec = {f.name: v for f, v in zip(fields, values)}
+    rec["got"], rec["want"] = case(*values)
+    return rec
+
+
+# --- chunk runners ---------------------------------------------------------------
+
+def _pure_chunk(unit: str, n: int, p: int, mode: str, seed: int,
+                lo: int, hi: int) -> tuple[int, int]:
+    fields, case = UNITS[unit].build(Params(n, p))
+    results = starmap(case, _cases(fields, mode, seed, lo, hi))
+    bad = compress(count(lo), starmap(ne, results))  # indices where got != want
+    first = next(bad, -1)
+    return (first >= 0) + sum(1 for _ in bad), first
 
 
 def _compiled_chunk(unit: str, n: int, p: int, mode: str, seed: int,
                     lo: int, hi: int) -> tuple[int, int]:
-    if unit == "adder":
-        return (_C.sweep_adder_exh(n, lo, hi) if mode == "exhaustive"
-                else _C.sweep_adder_rand(n, seed, lo, hi))
-    if unit == "multiplier":
-        return (_C.sweep_mul_exh(n, lo, hi) if mode == "exhaustive"
-                else _C.sweep_mul_rand(n, seed, lo, hi))
-    if unit == "checkpoint":
-        return _C.sweep_checkpoint_exh(n, lo, hi)
-    if unit == "forward":
-        return (_C.sweep_forward_exh(n, lo, hi) if mode == "exhaustive"
-                else _C.sweep_forward_rand(n, seed, lo, hi))
-    if unit == "roundtrip":
-        plan = reverse.ncrt_plan(_fset(n, p))
-        mu1, mu2, mu3 = plan.mu
-        return (_C.sweep_roundtrip_exh(n, p, mu1, mu2, mu3, lo, hi)
-                if mode == "exhaustive"
-                else _C.sweep_roundtrip_rand(n, p, mu1, mu2, mu3, seed, lo, hi))
-    if unit == "compressor":
-        return (_C.sweep_compressor_exh(n, lo, hi) if mode == "exhaustive"
-                else _C.sweep_compressor_rand(n, seed, lo, hi))
-    raise ValueError(f"unit {unit!r} has no compiled kernel")
+    spec = UNITS[unit]
+    args = spec.kernel_args(n, p)
+    if mode == "exhaustive":
+        return getattr(_C, f"sweep_{spec.kernel}_exh")(n, *args, lo, hi)
+    return getattr(_C, f"sweep_{spec.kernel}_rand")(n, *args, seed, lo, hi)
 
 
 def _chunk(unit: str, n: int, p: int, mode: str, seed: int, lo: int, hi: int,
@@ -468,9 +333,7 @@ def _chunk(unit: str, n: int, p: int, mode: str, seed: int, lo: int, hi: int,
     """Run one contiguous case range; returns (failures, first_bad_index)."""
     if _use_compiled(force_pure) and _compiled_supported(unit, n):
         return _compiled_chunk(unit, n, p, mode, seed, lo, hi)
-    if unit == "roundtrip":
-        return _pure_roundtrip(n, p, mode, seed, lo, hi)
-    return _PURE_RUNNERS[unit](n, mode, seed, lo, hi)
+    return _pure_chunk(unit, n, p, mode, seed, lo, hi)
 
 
 def _split(total: int, workers: int) -> list[tuple[int, int]]:
@@ -491,19 +354,30 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     """Sweep one unit and build its report.
 
     The checkpoint unit is exhaustive-only (it enumerates nonzero operand
-    pairs); every other unit supports both modes.
+    pairs); every other unit supports both modes.  `workers` is capped at
+    the CPU count.
     """
     if unit not in UNITS:
-        raise ValueError(f"unknown unit {unit!r}; expected one of {UNITS}")
+        raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNITS)}")
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    if unit == "checkpoint" and mode == "random":
-        raise ValueError("checkpoint sweeps are exhaustive-only")
-    Params(n, p)  # validate bounds
+    params = Params(n, p)  # validate bounds
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if mode == "random":
+        if samples < 1:
+            raise ValueError(f"random sweeps need samples >= 1, got {samples}")
+        if any(f.slot is None for f in UNITS[unit].build(params)[0]):
+            raise ValueError(f"{unit} sweeps are exhaustive-only")
 
     total = total_cases(unit, n, p, mode, samples)
+    if mode == "exhaustive" and total > sys.maxsize:
+        raise ValueError(f"{unit} at n={n} has {total} cases, too many to sweep "
+                         "exhaustively; use random mode")
     start = time.perf_counter()
-    chunks = _split(total, workers)
+    chunks = _split(total, min(workers, os.cpu_count() or 1))
     if len(chunks) <= 1:
         results = [_chunk(unit, n, p, mode, seed, lo, hi, force_pure)
                    for lo, hi in chunks]

@@ -177,6 +177,44 @@ def test_verify_workers_flag(capsys):
     assert "failures=0" in out
 
 
+@pytest.mark.parametrize("unit,cases", [("csa", 1024), ("checkpoint", 256)])
+def test_verify_accepts_every_sweep_unit(capsys, unit, cases):
+    code, out, _ = run_cli(capsys, "verify", unit, "--n", "2")
+    assert code == 0
+    assert f"cases={cases}" in out and "failures=0" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "adder", "--n", "2", "--exhaustive"],
+    ["verify", "multiplier", "--n", "2", "--trace"],
+    ["dr", "7,9,16", "--workers", "5"],
+    ["dr", "7,9,16", "--trace"],
+    ["dr", "7,9,16", "--seed", "3"],
+    ["convert", "--set", "f:n=2", "--forward", "1", "--workers", "2"],
+    ["op", "mul", "3", "5", "--n", "2", "--seed", "3"],
+])
+def test_options_belong_to_their_subcommand(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--samples", "-5"], "samples"),
+    (["--samples", "0"], "samples"),
+    (["--seed", "-1"], "seed"),
+    (["--seed", str(1 << 64)], "seed"),
+    (["--workers", "0"], "workers"),
+])
+def test_verify_rejects_vacuous_or_out_of_range_sweeps(capsys, flags, message):
+    code, out, err = run_cli(capsys, "verify", "adder", "--n", "2", "--random", "--json",
+                             *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 # --- dr ---------------------------------------------------------------------------
 
 def test_dr_examples(capsys):

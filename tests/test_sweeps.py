@@ -1,8 +1,11 @@
 """Sweep drivers: backend parity, deterministic ordering, worker partitioning."""
 
+from concurrent.futures import Future
+
 import pytest
 
 from cxrns import sweeps
+from cxrns.core import Params
 from cxrns.reporting import VerifyReport
 
 needs_compiled = pytest.mark.skipif(
@@ -145,20 +148,26 @@ def test_workers_match_single_worker_results():
     assert (solo.cases, solo.failures) == (multi.cases, multi.failures) == (5000, 0)
 
 
-def _adder_runner_with_planted_faults(n, mode, seed, lo, hi):
-    """Stand-in runner reporting a failure on every case index = 3 mod 7."""
-    failures = 0
-    first = -1
-    for idx in range(lo, hi):
-        if idx % 7 == 3:
-            failures += 1
-            if first < 0:
-                first = idx
-    return failures, first
+_ADDER = sweeps.UNITS["adder"]
+
+
+def _adder_with_planted_faults(params):
+    """The adder spec with a fault planted on every case index = 3 mod 7."""
+    fields, case = _ADDER.build(params)
+
+    def faulty(*values):
+        idx = 0
+        for f, v in zip(fields, values):
+            idx = idx * f.span + v - f.base
+        got, want = case(*values)
+        return (got + 1 if idx % 7 == 3 else got), want
+
+    return fields, faulty
 
 
 def test_counterexample_ordering_deterministic_across_workers(monkeypatch):
-    monkeypatch.setitem(sweeps._PURE_RUNNERS, "adder", _adder_runner_with_planted_faults)
+    monkeypatch.setitem(sweeps.UNITS, "adder", _ADDER._replace(build=_adder_with_planted_faults))
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
     reports = [
         sweeps.run_verify("adder", 2, workers=w, force_pure=True)
         for w in (1, 2, 5)
@@ -175,6 +184,62 @@ def test_counterexample_ordering_deterministic_across_workers(monkeypatch):
     assert reports[0].counterexample == reports[1].counterexample == reports[2].counterexample
 
 
+# Decoded cases pinned from the hand-written decoders the spec table replaced:
+# any change to a field's order, span or random-counter slot changes them.
+GOLDEN_RANDOM = {  # (unit, n, p): first three cases at seed 7, fields in spec order
+    ("adder", 5, 0): [(587, 2, 28, 0, 1), (285, 11, 9, 0, 0), (677, 21, 7, 1, 0)],
+    ("multiplier", 5, 0): [(587, 529), (285, 250), (677, 766)],
+    ("forward", 5, 0): [(28581687,), (24801185,), (25496527,)],
+    ("forward", 13, 0): [(21300162737582116311,), (25113805461432346465,),
+                         (12091930423938242223,)],
+    ("roundtrip", 5, 0): [(28581687,), (24801185,), (25496527,)],
+    ("roundtrip", 3, 2): [(42807,), (34145,), (93007,)],
+    ("compressor", 5, 0): [(23, 28, 2, 11, 0, 1), (1, 9, 11, 12, 0, 0), (15, 7, 21, 24, 1, 1)],
+    ("csa", 5, 0): [(23, 540, 514), (1, 873, 747), (15, 711, 565)],
+    ("normalize", 5, 0): [(2, 23, 1, 0), (11, 1, 0, 1), (21, 15, 0, 1)],
+}
+GOLDEN_FIELDS = {  # most significant first
+    "adder": "x i r carry borrow",
+    "multiplier": "x y",
+    "checkpoint": "x y",
+    "forward": "z",
+    "roundtrip": "z",
+    "compressor": "a b c d t_in v_in",
+    "csa": "z2 z1 z0",
+    "normalize": "i r carry borrow",
+}
+GOLDEN_EXHAUSTIVE = {  # unit: cases 1, 2, 37 and the last one at n=2
+    "adder": [(0, 0, 0, 0, 1), (0, 0, 0, 1, 0), (0, 2, 1, 0, 1), (16, 3, 3, 1, 1)],
+    "multiplier": [(0, 1), (0, 2), (2, 3), (16, 16)],
+    "checkpoint": [(1, 2), (1, 3), (3, 6), (16, 16)],
+    "forward": [(1,), (2,), (37,), (1019,)],
+    "roundtrip": [(1,), (2,), (37,), (1019,)],
+    "compressor": [(0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 1, 0), (0, 0, 2, 1, 0, 1),
+                   (3, 3, 3, 3, 1, 1)],
+    "csa": [(0, 0, 1), (0, 0, 2), (0, 2, 5), (3, 15, 15)],
+    "normalize": [(0, 0, 0, 1), (0, 0, 1, 0), (2, 1, 0, 1), (3, 3, 1, 1)],
+}
+
+
+@pytest.mark.parametrize("unit,n,p", list(GOLDEN_RANDOM))
+def test_random_decode_is_pinned(unit, n, p):
+    fields, _ = sweeps.UNITS[unit].build(Params(n, p))
+    want = GOLDEN_RANDOM[unit, n, p]
+    assert list(sweeps._cases(fields, "random", 7, 0, 3)) == want
+    assert list(sweeps._cases(fields, "random", 7, 1, 3)) == want[1:]
+    assert [tuple(sweeps._case_at(fields, "random", 7, idx)) for idx in range(3)] == want
+
+
+@pytest.mark.parametrize("unit", list(GOLDEN_EXHAUSTIVE))
+def test_exhaustive_decode_is_pinned(unit):
+    fields, _ = sweeps.UNITS[unit].build(Params(2))
+    assert [f.name for f in fields] == GOLDEN_FIELDS[unit].split()
+    total = sweeps.total_cases(unit, 2, 0, "exhaustive", 0)
+    for idx, want in zip((1, 2, 37, total - 1), GOLDEN_EXHAUSTIVE[unit]):
+        assert list(sweeps._cases(fields, "exhaustive", 0, idx, idx + 1)) == [want]
+        assert tuple(sweeps._case_at(fields, "exhaustive", 0, idx)) == want
+
+
 def test_run_verify_validates_arguments():
     with pytest.raises(ValueError):
         sweeps.run_verify("divider", 2)
@@ -184,6 +249,47 @@ def test_run_verify_validates_arguments():
         sweeps.run_verify("checkpoint", 2, mode="random")
     with pytest.raises(ValueError):
         sweeps.run_verify("adder", 1)
+    for samples in (0, -5):  # a sweep of no cases would pass vacuously
+        with pytest.raises(ValueError, match="samples"):
+            sweeps.run_verify("adder", 2, mode="random", samples=samples)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            sweeps.run_verify("adder", 2, mode="random", samples=10, seed=seed)
+    assert sweeps.run_verify("adder", 2, mode="random", samples=10, seed=(1 << 64) - 1).ok
+    with pytest.raises(ValueError, match="workers"):
+        sweeps.run_verify("adder", 2, workers=0)
+    with pytest.raises(ValueError, match="random mode"):
+        sweeps.run_verify("multiplier", 31)  # about 2^124 cases
+
+
+def test_workers_clamped_to_cpu_count(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Records the pool size and runs each chunk in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+    report = sweeps.run_verify("multiplier", 2, workers=64)
+    assert pools == [3]
+    assert (report.cases, report.failures) == (289, 0)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)  # count unknown
+    assert sweeps.run_verify("multiplier", 2, workers=64).ok
+    assert pools == [3]
 
 
 def test_report_shape():
