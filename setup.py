@@ -1,19 +1,3 @@
-import os
-
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("CXRNS_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            ["src/cxrns/_speedups.pyx"],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        # No Cython available: install pure-Python only; the package
-        # falls back to the Python kernels at import time.
-        pass
-
-setup(ext_modules=ext_modules)
+setup()

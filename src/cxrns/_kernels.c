@@ -1,0 +1,328 @@
+/* Compiled sweep kernels for cxrns.sweeps (C99, loaded through ctypes).
+ *
+ * The case space is not written here: sweeps.UNITS gives every field's
+ * span, base and random-counter slot, and one case loop turns those into
+ * case values.  An exhaustive sweep walks the flat index with an odometer
+ * (first field most significant); a random sweep gives field f of case k
+ * the value base + draw(seed, 8k + slot) mod span.  Each case function
+ * mirrors its unit's Python dataflow and returns whether the case is a
+ * mismatch.  Internal helpers are static so the case loop never calls
+ * through the PLT; the exported helpers exist for parity tests.
+ */
+
+#include <stdint.h>
+
+#if defined(__GNUC__)
+#define INLINE static inline __attribute__((always_inline))
+#else
+#define INLINE static inline
+#endif
+
+#define MAX_FIELDS 8
+#define SLOTS 8
+#define GOLDEN 0x9E3779B97F4A7C15u
+
+typedef unsigned __int128 u128;
+
+/* Per-sweep constants; the roundtrip ones come from its kernel arguments. */
+struct ctx {
+    int n, p;
+    uint64_t m, mask;              /* 2^2n + 1, 2^n - 1 */
+    uint64_t m2, m3, tail, wide;   /* 2^n - 1, 2^n + 1, m2*m3*m, 2^n (2^4n - 1) if n < 16 */
+    int64_t mu1, mu2, mu3;         /* New-CRT coefficients */
+};
+
+static struct ctx ctx_make(int n, const int64_t *args)
+{
+    struct ctx c;
+    c.n = n;
+    c.p = (int)args[0];
+    c.m = ((uint64_t)1 << (2 * n)) + 1;
+    c.mask = ((uint64_t)1 << n) - 1;
+    c.m2 = c.mask;
+    c.m3 = c.mask + 2;
+    c.tail = c.m2 * c.m3 * c.m;
+    c.wide = 4 * n < 64 ? ((uint64_t)1 << n) * (((uint64_t)1 << (4 * n)) - 1) : 0;
+    c.mu1 = args[1];
+    c.mu2 = args[2];
+    c.mu3 = args[3];
+    return c;
+}
+
+/* --- counter-based PRNG (splitmix64) ------------------------------------- */
+
+INLINE uint64_t mix64(uint64_t x)
+{
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
+    return x ^ (x >> 31);
+}
+
+INLINE uint64_t draw64(uint64_t seed, uint64_t counter)
+{
+    return mix64(seed + (counter + 1) * GOLDEN);
+}
+
+/* --- dataflow --------------------------------------------------------------- */
+
+INLINE void split_fresh(int n, uint64_t x, uint64_t *xr, uint64_t *xi, uint64_t *xz)
+{
+    if (x == 0) {
+        *xr = *xi = 0;
+        *xz = 1;
+    } else {
+        *xr = (x - 1) & (((uint64_t)1 << n) - 1);
+        *xi = (x - 1) >> n;
+        *xz = 0;
+    }
+}
+
+INLINE void add4(int n, uint64_t xr, uint64_t xi, uint64_t xz, uint64_t yr, uint64_t yb,
+              uint64_t yi, uint64_t yc, uint64_t *out)
+{
+    uint64_t mask = ((uint64_t)1 << n) - 1, xnz = xz ^ 1;
+    uint64_t sr = xr + yr + ((yb ^ 1) & xnz);
+    uint64_t si = xi + yi + (yc & xnz);
+    out[0] = sr & mask;
+    out[1] = (si >> n) | (yb & xz);
+    out[2] = si & mask;
+    out[3] = (sr >> n) | (yc & xz);
+}
+
+/* (4;2) compressor: returns u; *vh, *cn, *vn take the other outputs. */
+INLINE uint64_t compress42(int n, uint64_t a, uint64_t b, uint64_t c, uint64_t d,
+                        uint64_t t_in, uint64_t v_in, uint64_t *vh, uint64_t *cn,
+                        uint64_t *vn)
+{
+    uint64_t mask = ((uint64_t)1 << n) - 1;
+    uint64_t p = a ^ b ^ c;
+    uint64_t t = (((a & b) | (a & c) | (b & c)) << 1) | t_in;
+    uint64_t vw = ((((p & d) | (p & t) | (d & t)) & mask) << 1) | v_in;
+    *vh = vw & mask;
+    *cn = t >> n;
+    *vn = vw >> n;
+    return (p ^ d ^ t) & mask;
+}
+
+INLINE void mul4(int n, uint64_t xr, uint64_t xi, uint64_t yr, uint64_t yi, uint64_t *out)
+{
+    uint64_t mask = ((uint64_t)1 << n) - 1;
+    uint64_t p1 = (1 + xr) * (1 + yr), p2 = (1 + xr) * yi;
+    uint64_t p3 = xi * (1 + yr), p4 = xi * yi;
+    uint64_t c = p1 >> (2 * n), vh, cn, vn, vh2, cn2, vn2;
+    uint64_t u = compress42(n, p1 & mask, (p4 & mask) ^ mask, (p2 >> n) ^ mask,
+                            (p3 >> n) ^ mask, c ^ 1, 0, &vh, &cn, &vn);
+    uint64_t u2 = compress42(n, (p1 >> n) & mask, p2 & mask, p3 & mask,
+                             (p4 >> n) ^ mask, cn, vn, &vh2, &cn2, &vn2);
+    uint64_t b1 = vh | (vn2 ^ 1), d1 = cn2 ^ 1, cst = mask ^ 1;
+    uint64_t w = u ^ b1 ^ d1;
+    uint64_t carry = ((u & b1) | (u & d1) | (b1 & d1)) << 1;
+    uint64_t w2 = u2 ^ vh2 ^ cst;
+    uint64_t carry2 = ((u2 & vh2) | (u2 & cst) | (vh2 & cst)) << 1;
+    uint64_t z = (carry & mask) | ((carry2 >> n) ^ 1);
+    uint64_t z2 = (carry2 & mask) | (carry >> n);
+    uint64_t sr = w + z + 1, si = w2 + z2;
+    out[0] = sr & mask;
+    out[1] = si >> n;
+    out[2] = si & mask;
+    out[3] = sr >> n;
+}
+
+/* (r - borrow + 2^n (i + carry)) mod m of fields (r, borrow, i, carry). */
+INLINE uint64_t phi(const struct ctx *c, const uint64_t *f)
+{
+    return (f[0] + ((f[2] + f[3]) << c->n) + c->m - f[1]) % c->m;
+}
+
+INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
+{
+    uint64_t wmask = ((uint64_t)1 << (2 * n)) - 1;
+    uint64_t z2 = z >> (4 * n), z1b = ((z >> (2 * n)) & wmask) ^ wmask, z0 = z & wmask;
+    uint64_t u = z2 ^ z1b ^ z0;
+    uint64_t cw = ((z2 & z1b) | (z2 & z0) | (z1b & z0)) << 1;
+    uint64_t t = u + ((cw & wmask) | ((cw >> (2 * n)) ^ 1));
+    if (t >= m)
+        t -= m;
+    return (t & wmask) + 1 - (t >> (2 * n));  /* flagged: bits + (1 - zflag) */
+}
+
+/* z mod 2^2n + 1 by alternating 2n-bit digits, for z past forward_dim1's range. */
+INLINE uint64_t fold_22n1(int n, uint64_t m, uint64_t z)
+{
+    int64_t acc = 0, s = 1;
+    for (; z; z >>= 2 * n, s = -s)
+        acc += s * (int64_t)(z & (((uint64_t)1 << (2 * n)) - 1));
+    acc %= (int64_t)m;
+    return (uint64_t)(acc < 0 ? acc + (int64_t)m : acc);
+}
+
+/* --- case functions: field values in spec order, nonzero on a mismatch ----- */
+
+INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t x = v[0], i = v[1], r = v[2], carry = v[3], borrow = v[4];
+    uint64_t xr, xi, xz, f[4];
+    split_fresh(c->n, x, &xr, &xi, &xz);
+    add4(c->n, xr, xi, xz, r, borrow, i, carry, f);
+    return phi(c, f) != (x + r + ((i + carry) << c->n) + c->m - borrow) % c->m;
+}
+
+INLINE int mul_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t x = v[0], y = v[1], xr, xi, xz, yr, yi, yz, f[4], got = 0;
+    split_fresh(c->n, x, &xr, &xi, &xz);
+    split_fresh(c->n, y, &yr, &yi, &yz);
+    if (!(xz | yz)) {  /* a zero flag gates the product to canonical zero */
+        mul4(c->n, xr, xi, yr, yi, f);
+        got = phi(c, f);
+    }
+    return got != (uint64_t)((u128)x * y % c->m);
+}
+
+INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t x = v[0], y = v[1], xr, xi, xz, yr, yi, yz, mask = c->mask;
+    split_fresh(c->n, x, &xr, &xi, &xz);
+    split_fresh(c->n, y, &yr, &yi, &yz);
+    uint64_t p1 = (1 + xr) * (1 + yr), p2 = (1 + xr) * yi;
+    uint64_t p3 = xi * (1 + yr), p4 = xi * yi;
+    int64_t r_sum = (int64_t)((p1 & mask) + ((p4 & mask) ^ mask) + ((p2 >> c->n) ^ mask)
+                              + ((p3 >> c->n) ^ mask) + ((p1 >> (2 * c->n)) ^ 1) + 3);
+    int64_t i_sum = (int64_t)(((p1 >> c->n) & mask) + (p2 & mask) + (p3 & mask)
+                              + ((p4 >> c->n) ^ mask)) - 2;
+    int64_t t = (r_sum + i_sum * ((int64_t)1 << c->n)) % (int64_t)c->m;
+    if (t < 0)
+        t += (int64_t)c->m;
+    return (uint64_t)t != (uint64_t)((u128)x * y % c->m);
+}
+
+INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
+{
+    return forward_dim1(c->n, c->m, v[0]) != v[0] % c->m;
+}
+
+INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t z = v[0], mask1 = ((uint64_t)1 << (c->n + c->p)) - 1;
+    int64_t x1 = (int64_t)(z & mask1), x2 = (int64_t)(z % c->m2), x3 = (int64_t)(z % c->m3);
+    int64_t x4 = (int64_t)(z < c->wide ? forward_dim1(c->n, c->m, z) : fold_22n1(c->n, c->m, z));
+    int64_t acc = (c->mu1 * (x2 - x1) + c->mu2 * (x3 - x2) + c->mu3 * (x4 - x3))
+                  % (int64_t)c->tail;
+    if (acc < 0)
+        acc += (int64_t)c->tail;
+    return (uint64_t)x1 + (mask1 + 1) * (uint64_t)acc != z;
+}
+
+INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t vh, cn, vn;
+    uint64_t u = compress42(c->n, v[0], v[1], v[2], v[3], v[4], v[5], &vh, &cn, &vn);
+    return u + vh + ((cn + vn) << c->n) != v[0] + v[1] + v[2] + v[3] + v[4] + v[5];
+}
+
+/* --- case loop --------------------------------------------------------------- */
+
+/* Bit f of a shape: span f is not a power of two; bit MAX_FIELDS: a base is nonzero. */
+#define BASED (1u << MAX_FIELDS)
+
+static unsigned shape_of(int nf, const uint64_t *span, const uint64_t *base)
+{
+    unsigned shape = 0;
+    for (int f = 0; f < nf; f++)
+        shape |= (span[f] & (span[f] - 1) ? 1u << f : 0) | (base[f] ? BASED : 0);
+    return shape;
+}
+
+/* Runs cases [lo, hi); out gets (failures, first failing index or -1).  The
+ * field constants are copied to locals so that, inlined with a constant nf
+ * and shape, they live in registers and the per-field tests fold away. */
+INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
+                  int nf, unsigned shape, const uint64_t *span, const uint64_t *base,
+                  const uint64_t *slot, int random, uint64_t seed, uint64_t lo, uint64_t hi,
+                  int64_t *out)
+{
+    uint64_t v[MAX_FIELDS], sp[MAX_FIELDS], b[MAX_FIELDS], key[MAX_FIELDS], failures = 0;
+    int64_t first = -1;
+    int f;
+    for (f = 0; f < nf; f++) {
+        sp[f] = span[f];
+        b[f] = shape & BASED ? base[f] : 0;
+        key[f] = seed + (slot[f] + 1) * GOLDEN;  /* draw64(seed, SLOTS k + slot) at k = 0 */
+    }
+    if (random) {
+        for (uint64_t k = lo; k < hi; k++) {
+            for (f = 0; f < nf; f++) {
+                uint64_t d = mix64(key[f] + k * (SLOTS * GOLDEN));
+                v[f] = b[f] + (shape >> f & 1 ? d % sp[f] : d & (sp[f] - 1));
+            }
+            if (bad(c, v) && failures++ == 0)
+                first = (int64_t)k;
+        }
+    } else {
+        uint64_t idx = lo;
+        for (f = nf - 1; f >= 0; f--) {
+            v[f] = b[f] + idx % sp[f];
+            idx /= sp[f];
+        }
+        for (uint64_t k = lo; k < hi; k++) {
+            if (bad(c, v) && failures++ == 0)
+                first = (int64_t)k;
+            for (f = nf - 1; f >= 0 && ++v[f] == b[f] + sp[f]; f--)
+                v[f] = b[f];
+        }
+    }
+    out[0] = (int64_t)failures;
+    out[1] = first;
+}
+
+/* sweep_<kernel>: returns -1 when the spec's field count is not the case
+ * function's.  A spec of the unit's usual shape runs a case loop specialized
+ * to it; any other shape (say, a shifted base) runs the general one. */
+#define SWEEP(kernel, arity, usual)                                                 \
+    int sweep_##kernel(int n, const int64_t *args, int nf, const uint64_t *span,    \
+                       const uint64_t *base, const uint64_t *slot, int random,      \
+                       uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)       \
+    {                                                                               \
+        struct ctx c = ctx_make(n, args);                                           \
+        unsigned shape;                                                             \
+        if (nf != arity)                                                            \
+            return -1;                                                              \
+        shape = shape_of(nf, span, base);                                           \
+        if (shape == (usual))                                                       \
+            run_cases(&c, kernel##_bad, arity, usual, span, base, slot, random,     \
+                      seed, lo, hi, out);                                           \
+        else                                                                        \
+            run_cases(&c, kernel##_bad, arity, shape, span, base, slot, random,     \
+                      seed, lo, hi, out);                                           \
+        return 0;                                                                   \
+    }
+
+SWEEP(adder, 5, 1u)          /* x spans 2^2n + 1 */
+SWEEP(mul, 2, 3u)            /* x, y span 2^2n + 1 */
+SWEEP(checkpoint, 2, BASED)  /* x, y from 1 */
+SWEEP(forward, 1, 1u)
+SWEEP(roundtrip, 1, 1u)
+SWEEP(compressor, 6, 0u)
+
+/* --- exported helpers (parity checks against the Python dataflow) ----------- */
+
+uint64_t draw(uint64_t seed, uint64_t counter)
+{
+    return draw64(seed, counter);
+}
+
+void add_fields(int n, uint64_t xr, uint64_t xi, uint64_t xz, uint64_t yr, uint64_t yb,
+                uint64_t yi, uint64_t yc, uint64_t *out)
+{
+    add4(n, xr, xi, xz, yr, yb, yi, yc, out);
+}
+
+void mul_fields(int n, uint64_t xr, uint64_t xi, uint64_t yr, uint64_t yi, uint64_t *out)
+{
+    mul4(n, xr, xi, yr, yi, out);
+}
+
+uint64_t forward_value(int n, uint64_t z)
+{
+    return forward_dim1(n, ((uint64_t)1 << (2 * n)) + 1, z);
+}

@@ -179,6 +179,8 @@ def _trace_dict(trace: alu.MulTrace) -> dict:
 
 
 def _cmd_op(args) -> int:
+    if args.trace and args.op != "mul":
+        raise ValueError(f"--trace is only available for mul, not {args.op}")
     params = Params(args.n)
     top = 1 << (2 * params.n)
     for name, v in (("x", args.x), ("y", args.y)):
@@ -280,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_op.add_argument("x", type=int)
     p_op.add_argument("y", type=int)
     p_op.add_argument("--n", type=int, required=True, help="channel width")
-    p_op.add_argument("--trace", action="store_true", help="dump per-stage words (mul)")
+    p_op.add_argument("--trace", action="store_true", help="dump per-stage words (mul only)")
     p_op.set_defaults(func=_cmd_op)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -288,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("unit", choices=tuple(sweeps.UNITS))
     p_verify.add_argument("--n", type=int, required=True, help="channel width")
     p_verify.add_argument("--p", type=int, default=0,
-                          help="power-of-two extension (roundtrip set)")
+                          help="power-of-two extension of the roundtrip set "
+                               "(other units reject p != 0)")
     p_verify.add_argument("--random", action="store_true",
                           help="seeded random cases instead of the exhaustive space")
     p_verify.add_argument("--samples", type=int, default=1_000_000,

@@ -2,9 +2,10 @@
 
 A sweep runs one unit over an exhaustive index space or a seeded random
 stream, counts mismatches against plain modular arithmetic, and reports
-the lowest failing case.  Hot sweeps dispatch to the compiled kernels
-when the extension is importable (and the unit fits 64-bit math at the
-requested width); everything falls back to the pure-Python dataflow.
+the lowest failing case.  Hot sweeps dispatch to the compiled kernels of
+``_kernels.c`` (when a C compiler built them and the unit fits 64-bit
+math at the requested width); everything falls back to the pure-Python
+dataflow.
 
 Each unit is one entry of ``UNITS``: its input fields and a case function
 that runs the device under test.  The case space, both decoders, the pure
@@ -18,10 +19,15 @@ worker chunks.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
 import os
+import shutil
+import subprocess
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from itertools import compress, count, islice, product, repeat, starmap
 from operator import add, mod, ne
@@ -40,11 +46,6 @@ from .core import (
     operand_value,
 )
 from .reporting import VerifyReport
-
-try:
-    from . import _speedups as _C
-except ImportError:  # pure-Python install
-    _C = None
 
 _ENV_PURE = "CXRNS_PURE"
 
@@ -109,15 +110,17 @@ class Unit(NamedTuple):
     ``build(params)`` returns the unit's fields, most significant first,
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
-    ``kernel`` names the compiled ``sweep_<kernel>_exh``/``_rand`` pair,
-    which covers widths up to ``max_n``; ``kernel_args(n, p)`` gives the
-    kernel's extra leading arguments.
+    ``kernel`` names the ``sweep_<kernel>`` export of ``_kernels.c``, which
+    runs the same fields through its own case function at widths up to
+    ``max_n``; ``kernel_args(n, p)`` gives the kernel's extra arguments.
+    Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
 
     build: Callable
     kernel: Optional[str] = None
     max_n: int = 31
     kernel_args: Callable = lambda n, p: ()
+    reads_p: bool = False
 
 
 def _fset(n: int, p: int) -> ModuliSet:
@@ -242,11 +245,69 @@ UNITS = {
     "multiplier": Unit(_multiplier, "mul"),
     "checkpoint": Unit(_checkpoint, "checkpoint"),
     "forward": Unit(_forward, "forward", max_n=12),  # 5n-bit inputs in 63 bits
-    "roundtrip": Unit(_roundtrip, "roundtrip", max_n=10, kernel_args=_roundtrip_kernel_args),
+    "roundtrip": Unit(_roundtrip, "roundtrip", max_n=10, kernel_args=_roundtrip_kernel_args,
+                      reads_p=True),
     "compressor": Unit(_compressor, "compressor"),
     "csa": Unit(_csa),
     "normalize": Unit(_normalize),
 }
+
+
+# --- compiled kernels -------------------------------------------------------------
+
+_KERNELS_C = os.path.join(os.path.dirname(__file__), "_kernels.c")
+_U64, _I64, _INT = ctypes.c_uint64, ctypes.c_int64, ctypes.c_int
+_P_U64, _P_I64 = ctypes.POINTER(_U64), ctypes.POINTER(_I64)
+_SIGNATURES = {  # name: (restype, argtypes)
+    "draw": (_U64, (_U64, _U64)),
+    "forward_value": (_U64, (_INT, _U64)),
+    "add_fields": (None, (_INT, *[_U64] * 7, _P_U64)),
+    "mul_fields": (None, (_INT, *[_U64] * 4, _P_U64)),
+    **{f"sweep_{spec.kernel}": (_INT, (_INT, _P_I64, _INT, _P_U64, _P_U64, _P_U64,
+                                       _INT, _U64, _U64, _U64, _P_I64))
+       for spec in UNITS.values() if spec.kernel},
+}
+
+
+def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycache__")):
+    """The compiled kernels, built from _kernels.c into `cache` on first use.
+
+    The library is named by the source's hash and written under a temporary
+    name first, so concurrent first imports are safe.  Returns None (pure
+    Python) without a C compiler, when the build fails or when the cache
+    cannot be written or loaded.
+    """
+    with open(_KERNELS_C, "rb") as f:
+        lib = os.path.join(cache, f"_kernels.{hashlib.sha256(f.read()).hexdigest()}.so")
+    tmp = f"{lib}.{os.getpid()}.tmp"
+    try:
+        if not os.path.exists(lib):
+            import sysconfig  # only a build needs it
+
+            cc = (sysconfig.get_config_var("CC") or "cc").split()
+            if shutil.which(cc[0]) is None:
+                return None
+            os.makedirs(cache, exist_ok=True)
+            build = subprocess.run([*cc, "-O3", "-std=c99", "-shared", "-fPIC",
+                                    _KERNELS_C, "-o", tmp], capture_output=True, text=True)
+            if build.returncode:
+                warnings.warn(f"compiling {_KERNELS_C} failed, sweeps run in pure "
+                              f"Python:\n{build.stderr}", RuntimeWarning)
+                return None
+            os.replace(tmp, lib)
+        kernels = ctypes.CDLL(lib)
+    except OSError:
+        return None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    for name, (restype, argtypes) in _SIGNATURES.items():
+        getattr(kernels, name).restype = restype
+        getattr(kernels, name).argtypes = argtypes
+    return kernels
+
+
+_C = _load_kernels()
 
 
 def _compiled_supported(unit: str, n: int) -> bool:
@@ -322,10 +383,16 @@ def _pure_chunk(unit: str, n: int, p: int, mode: str, seed: int,
 def _compiled_chunk(unit: str, n: int, p: int, mode: str, seed: int,
                     lo: int, hi: int) -> tuple[int, int]:
     spec = UNITS[unit]
-    args = spec.kernel_args(n, p)
-    if mode == "exhaustive":
-        return getattr(_C, f"sweep_{spec.kernel}_exh")(n, *args, lo, hi)
-    return getattr(_C, f"sweep_{spec.kernel}_rand")(n, *args, seed, lo, hi)
+    fields, _ = spec.build(Params(n, p))
+    column = _U64 * len(fields)
+    out = (_I64 * 2)()
+    if getattr(_C, f"sweep_{spec.kernel}")(
+            n, (_I64 * 4)(*spec.kernel_args(n, p)), len(fields),
+            column(*(f.span for f in fields)), column(*(f.base for f in fields)),
+            column(*(f.slot or 0 for f in fields)), mode == "random", seed, lo, hi, out):
+        raise RuntimeError(f"the {spec.kernel} kernel takes a different number of "
+                           f"fields than the {unit} spec")
+    return out[0], out[1]
 
 
 def _chunk(unit: str, n: int, p: int, mode: str, seed: int, lo: int, hi: int,
@@ -362,6 +429,8 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     params = Params(n, p)  # validate bounds
+    if p and not UNITS[unit].reads_p:
+        raise ValueError(f"{unit} sweeps do not read p, got p={p}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if workers < 1:

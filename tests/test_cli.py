@@ -121,6 +121,14 @@ def test_op_json_cross_checks(capsys):
     assert "partials" in doc["trace"]
 
 
+def test_op_trace_rejected_for_add(capsys):
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "op", "add", "1", "2", "--n", "2", "--trace", *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--trace" in err
+
+
 def test_op_rejects_out_of_range_operand(capsys):
     code, _, err = run_cli(capsys, "op", "mul", "18", "1", "--n", "2")
     assert code == 2
@@ -213,6 +221,19 @@ def test_verify_rejects_vacuous_or_out_of_range_sweeps(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("unit", ["adder", "multiplier", "forward"])
+def test_verify_p_rejected_unless_the_unit_reads_it(capsys, unit):
+    for extra in ([], ["--random", "--samples", "10"]):
+        code, out, err = run_cli(capsys, "verify", unit, "--n", "2", "--p", "2", "--json",
+                                 *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "p" in err
+    code, out, _ = run_cli(capsys, "verify", "roundtrip", "--n", "2", "--p", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["cases"] == 16 * 3 * 5 * 17
 
 
 # --- dr ---------------------------------------------------------------------------

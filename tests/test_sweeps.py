@@ -1,5 +1,8 @@
 """Sweep drivers: backend parity, deterministic ordering, worker partitioning."""
 
+import ctypes
+import shutil
+import sysconfig
 from concurrent.futures import Future
 
 import pytest
@@ -9,7 +12,7 @@ from cxrns.core import Params
 from cxrns.reporting import VerifyReport
 
 needs_compiled = pytest.mark.skipif(
-    not sweeps.compiled_available(), reason="compiled kernels not built"
+    not sweeps.compiled_available(), reason="no C compiler to build _kernels.c"
 )
 
 BACKENDS = [pytest.param(True, id="pure"),
@@ -47,38 +50,98 @@ def test_random_sweeps_pass(unit, force_pure):
     assert report.seed == 11
 
 
+def _fields4(export, *args):
+    """Call a compiled add_fields/mul_fields and return its four output fields."""
+    out = (ctypes.c_uint64 * 4)()
+    export(*args, out)
+    return tuple(out)
+
+
 @needs_compiled
 def test_prng_stream_identical_across_backends():
-    import cxrns._speedups as compiled
-
     for seed in (0, 1, 0xDEADBEEF):
         for counter in list(range(40)) + [10**6, 2**60]:
-            assert compiled.draw(seed, counter) == sweeps._draw(seed, counter)
+            assert sweeps._C.draw(seed, counter) == sweeps._draw(seed, counter)
 
 
 @needs_compiled
 def test_scalar_kernels_match_python_dataflow():
     import random
 
-    import cxrns._speedups as compiled
     from cxrns.alu import _add_fields, _mul_fields
     from cxrns.forward import forward_22n1
     from cxrns.core import Params, dim1_value
 
+    compiled = sweeps._C
     rng = random.Random(3)
     for _ in range(3000):
         n = rng.randint(2, 31)
         mask = (1 << n) - 1
         xr, xi, yr, yi = (rng.randint(0, mask) for _ in range(4))
         yb, yc, xz = rng.randint(0, 1), rng.randint(0, 1), 0
-        assert compiled.add_fields(n, xr, xi, xz, yr, yb, yi, yc) == \
+        assert _fields4(compiled.add_fields, n, xr, xi, xz, yr, yb, yi, yc) == \
             _add_fields(n, xr, xi, xz, yr, yb, yi, yc)
-        assert compiled.mul_fields(n, xr, xi, yr, yi) == _mul_fields(n, xr, xi, yr, yi)
+        assert _fields4(compiled.mul_fields, n, xr, xi, yr, yi) == _mul_fields(n, xr, xi, yr, yi)
     for _ in range(500):
         n = rng.randint(2, 12)
         p = Params(n)
         z = rng.randrange((1 << n) * ((1 << (4 * n)) - 1))
         assert compiled.forward_value(n, z) == dim1_value(forward_22n1(z, p))
+
+
+def test_compiler_on_path_builds_the_kernels():
+    # A compiler that is present must give the compiled backend: a
+    # _kernels.c that fails to build fails here instead of falling back.
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) on PATH")
+    assert sweeps.compiled_available()
+    assert sweeps.backend_name() == "compiled"
+
+
+def test_kernels_build_into_an_empty_cache(tmp_path):
+    if not sweeps.compiled_available():
+        pytest.skip("no C compiler")
+    cache = tmp_path / "__pycache__"
+    kernels = sweeps._load_kernels(str(cache))
+    assert kernels is not None
+    built = [p.name for p in cache.iterdir()]  # no temporary left behind
+    assert len(built) == 1
+    assert built[0].startswith("_kernels.") and built[0].endswith(".so")
+    assert kernels.draw(7, 3) == sweeps._draw(7, 3)
+    assert sweeps._load_kernels(str(cache)) is not None  # reloads from the cache
+    assert [p.name for p in cache.iterdir()] == built
+
+
+def test_no_compiler_means_pure_backend(monkeypatch, tmp_path):
+    monkeypatch.setattr(sweeps.shutil, "which", lambda name: None)
+    kernels = sweeps._load_kernels(str(tmp_path / "__pycache__"))
+    assert kernels is None
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.setattr(sweeps, "_C", kernels)
+    assert not sweeps.compiled_available()
+    assert sweeps.backend_name() == "pure"
+    report = sweeps.run_verify("multiplier", 3)
+    assert (report.cases, report.failures) == (65 * 65, 0)
+    report = sweeps.run_verify("adder", 5, mode="random", samples=500, seed=1)
+    assert (report.cases, report.failures) == (500, 0)
+
+
+def test_failed_compile_warns_with_compiler_output(monkeypatch, tmp_path):
+    if not sweeps.compiled_available():
+        pytest.skip("no C compiler")
+    broken = tmp_path / "_kernels.c"
+    broken.write_text("int sweep_adder(void) { return missing_name; }\n")
+    monkeypatch.setattr(sweeps, "_KERNELS_C", str(broken))
+    with pytest.warns(RuntimeWarning, match="missing_name"):
+        assert sweeps._load_kernels(str(tmp_path / "__pycache__")) is None
+    assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_unwritable_cache_means_pure_backend(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")  # a cache directory cannot be made under a file
+    assert sweeps._load_kernels(str(blocker / "__pycache__")) is None
 
 
 def test_compiled_support_gates():
@@ -184,6 +247,33 @@ def test_counterexample_ordering_deterministic_across_workers(monkeypatch):
     assert reports[0].counterexample == reports[1].counterexample == reports[2].counterexample
 
 
+_MULTIPLIER = sweeps.UNITS["multiplier"]
+
+
+def _multiplier_y_from_one(params):
+    """The multiplier spec with y shifted to 1 .. 2^2n + 1: y = 2^2n + 1 is out of range."""
+    (x, y), case = _MULTIPLIER.build(params)
+    return (x, y._replace(base=1)), case
+
+
+@needs_compiled
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_planted_fault_reported_identically_by_both_backends(monkeypatch, mode):
+    # The compiled kernel reads the shifted case space from the spec, so
+    # both backends must find the same faults at the same first case.
+    monkeypatch.setitem(sweeps.UNITS, "multiplier",
+                        _MULTIPLIER._replace(build=_multiplier_y_from_one))
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
+    reports = [sweeps.run_verify("multiplier", 3, mode=mode, samples=20_000, seed=7,
+                                 workers=workers, force_pure=force_pure)
+               for force_pure in (True, False) for workers in (1, 2, 5)]
+    assert reports[0].failures > 0
+    assert reports[0].counterexample["y"] == 65
+    for report in reports[1:]:
+        assert report.failures == reports[0].failures
+        assert report.counterexample == reports[0].counterexample
+
+
 # Decoded cases pinned from the hand-written decoders the spec table replaced:
 # any change to a field's order, span or random-counter slot changes them.
 GOLDEN_RANDOM = {  # (unit, n, p): first three cases at seed 7, fields in spec order
@@ -260,6 +350,15 @@ def test_run_verify_validates_arguments():
         sweeps.run_verify("adder", 2, workers=0)
     with pytest.raises(ValueError, match="random mode"):
         sweeps.run_verify("multiplier", 31)  # about 2^124 cases
+
+
+@pytest.mark.parametrize("unit", [u for u in sweeps.UNITS if u != "roundtrip"])
+def test_p_rejected_by_units_that_ignore_it(unit):
+    # A p the unit does not read would sweep the p = 0 space under another name.
+    for mode in ("exhaustive", "random"):
+        with pytest.raises(ValueError, match="do not read p"):
+            sweeps.run_verify(unit, 2, p=2, mode=mode, samples=10)
+    assert sweeps.run_verify(unit, 2, p=0).ok
 
 
 def test_workers_clamped_to_cpu_count(monkeypatch):
