@@ -14,6 +14,8 @@ cross-check) fails, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -23,7 +25,6 @@ from .core import (
     Descriptor,
     GaussianPair,
     IntModulus,
-    ModuliSet,
     Params,
     PowerOfTwo,
     RangeExceeded,
@@ -90,14 +91,11 @@ def dr_report(text: str) -> DrReport:
     """Dynamic-range report for one set; co-primality surfaced, not fatal."""
     descriptors = parse_set(text)
     violations = coprimality_violations(descriptors)
-    product = 1
-    for d in descriptors:
-        product *= d.modulus
     has_gaussian = any(isinstance(d, GaussianPair) for d in descriptors)
     return DrReport(
         set_text=text.strip(),
         channels=tuple(str(d) for d in descriptors),
-        dynamic_range=product,
+        dynamic_range=math.prod(d.modulus for d in descriptors),
         max_channel_width=max(d.width for d in descriptors),
         coprime=not violations,
         violation=str(violations[0]) if violations else None,
@@ -105,15 +103,10 @@ def dr_report(text: str) -> DrReport:
     )
 
 
-def _build_set(descriptors: Sequence[Descriptor]) -> ModuliSet:
-    return moduli_set_build(descriptors)
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def _cmd_convert(args) -> int:
-    descriptors = parse_set(args.set)
-    mset = _build_set(descriptors)
+    mset = moduli_set_build(parse_set(args.set))
     if args.forward is not None:
         residues = forward.forward_std(args.forward, mset)
         if args.json:
@@ -162,22 +155,6 @@ def _trace_lines(trace: alu.MulTrace, n: int) -> list[str]:
     return lines
 
 
-def _trace_dict(trace: alu.MulTrace) -> dict:
-    pp = trace.partials
-    return {
-        "partials": {"c": pp.c, "h_rr": pp.h_rr, "l_rr": pp.l_rr,
-                     "h_ri": pp.h_ri, "l_ri": pp.l_ri,
-                     "h_ir": pp.h_ir, "l_ir": pp.l_ir,
-                     "h_ii": pp.h_ii, "l_ii": pp.l_ii},
-        "real_stage": {"u": trace.real_stage.u, "v": trace.real_stage.v,
-                       "c_out": trace.real_stage.c_out, "v_out": trace.real_stage.v_out},
-        "imag_stage": {"u": trace.imag_stage.u, "v": trace.imag_stage.v,
-                       "c_out": trace.imag_stage.c_out, "v_out": trace.imag_stage.v_out},
-        "real_rows": list(trace.real_rows),
-        "imag_rows": list(trace.imag_rows),
-    }
-
-
 def _cmd_op(args) -> int:
     if args.trace and args.op != "mul":
         raise ValueError(f"--trace is only available for mul, not {args.op}")
@@ -205,7 +182,7 @@ def _cmd_op(args) -> int:
                           "carry": res.carry},
                "value": got, "oracle": want, "match": match}
         if args.trace and trace is not None:
-            doc["trace"] = _trace_dict(trace)
+            doc["trace"] = dataclasses.asdict(trace)
         print(dumps_report(doc))
     else:
         print(f"{args.op} {args.x} {args.y}  (n={args.n})")
@@ -314,10 +291,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SetSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RnsError as exc:
+    except (ValueError, RnsError) as exc:  # SetSyntaxError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

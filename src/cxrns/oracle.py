@@ -1,17 +1,26 @@
-"""Brute-force reference arithmetic, trusted before any dataflow unit exists.
+"""Brute-force reference arithmetic and the case engine every sweep runs on.
 
 Everything here is slow, obvious, and arbitrary-precision.  The module is
 deliberately kept import-independent of the dataflow modules: a unit under
 test is always passed *into* check_unit, never imported, so the checking
 path cannot inherit a dataflow bug.
+
+A sweep is a tuple of input ``Field``s and a case function returning
+(got, want).  Case ordering is part of the contract: exhaustive sweeps walk
+a single flat index over the fields, random sweeps draw each field from a
+counter-based splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014) that
+the compiled kernels mirror, so results are identical across backends and
+across any contiguous partitioning into worker chunks.
 """
 
 from __future__ import annotations
 
-import random
+import math
+import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from itertools import compress, count, islice, product, repeat, starmap
+from operator import add, mod, ne
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     ChannelSign,
@@ -22,17 +31,6 @@ from .core import (
     channel_value,
 )
 from .reporting import VerifyReport
-
-
-@dataclass(frozen=True)
-class OracleContext:
-    """Channel width plus the composite modulus 2^2n + 1."""
-
-    n: int
-
-    @property
-    def modulus_22n1(self) -> int:
-        return (1 << (2 * self.n)) + 1
 
 
 def ref_mod(z: int, m: int) -> int:
@@ -81,12 +79,187 @@ def gaussian_value(g: GaussianInt, n: int, sign: ChannelSign) -> int:
     return (g.re + unit * g.im) % ((1 << (2 * n)) + 1)
 
 
-def _fresh(v: int, params: Params, sign: ChannelSign) -> FreshOperand:
-    # Independent re-derivation of the converter's field routing.
+# --- counter-based PRNG (mirrors the compiled splitmix64 exactly) ------------
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_SLOTS = 8  # counter slots per random case: case idx draws from idx*8 + slot
+
+
+def _mix64(x: int) -> int:
+    x &= _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _draw(seed: int, counter: int) -> int:
+    return _mix64(seed + (counter + 1) * _GOLDEN)
+
+
+def _draw_range(seed: int, counter: int, span: int) -> int:
+    """Draw in [0, span); wide spans consume consecutive counter slots."""
+    nd = (span.bit_length() + 63) // 64
+    acc = 0
+    for t in range(nd):
+        acc |= _draw(seed, counter + t) << (64 * t)
+    return acc % span
+
+
+# --- case engine ------------------------------------------------------------------
+
+class Field(NamedTuple):
+    """One input of a case, taking the values base .. base + span - 1.
+
+    A random case idx draws it from counter idx*8 + slot; a field whose
+    slot is None makes its unit exhaustive-only.
+    """
+
+    name: str
+    span: int
+    slot: Optional[int]
+    base: int = 0
+
+
+def case_count(fields: tuple[Field, ...], mode: str, samples: int, seed: int) -> int:
+    """Number of cases a sweep over `fields` runs.
+
+    Raises ValueError for a mode, seed or sample count that names no case
+    stream, and for an exhaustive space too large to index.
+    """
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    if mode == "random":
+        if samples < 1:  # a sweep of no cases would pass vacuously
+            raise ValueError(f"random sweeps need samples >= 1, got {samples}")
+        return samples
+    total = math.prod(f.span for f in fields)
+    if total > sys.maxsize:
+        raise ValueError(f"{total} cases are too many to sweep exhaustively; "
+                         "use random mode")
+    return total
+
+
+def _draws(seed: int, f: Field, lo: int, hi: int):
+    """Values of field `f` for random cases [lo, hi), in case order."""
+    first = lo * _SLOTS + f.slot
+    if f.span.bit_length() > 64:  # wide draw, see _draw_range
+        values = map(_draw_range, repeat(seed), range(first, hi * _SLOTS + f.slot, _SLOTS),
+                     repeat(f.span))
+    else:  # one _draw per case, as C-level iterator stages
+        step = _SLOTS * _GOLDEN
+        start = seed + (first + 1) * _GOLDEN
+        keys = range(start, start + (hi - lo) * step, step)
+        values = map(mod, map(_mix64, keys), repeat(f.span))
+    return map(add, values, repeat(f.base)) if f.base else values
+
+
+def _cases(fields: tuple[Field, ...], mode: str, seed: int, lo: int, hi: int):
+    """Field-value tuples of cases [lo, hi); exhaustive order is the flat index."""
+    if mode == "exhaustive":
+        every = product(*(range(f.base, f.base + f.span) for f in fields))
+        # Skipping to lo costs ~10 ns a case, far below a case's own cost.
+        return islice(every, lo, hi)
+    return zip(*(_draws(seed, f, lo, hi) for f in fields))
+
+
+def _case_at(fields: tuple[Field, ...], mode: str, seed: int, idx: int) -> list[int]:
+    """Field values of the single case `idx`, as `_cases` yields them."""
+    if mode == "random":
+        return [f.base + _draw_range(seed, idx * _SLOTS + f.slot, f.span) for f in fields]
+    values = []
+    for f in reversed(fields):
+        idx, digit = divmod(idx, f.span)
+        values.append(f.base + digit)
+    return values[::-1]
+
+
+def sweep(fields: tuple[Field, ...], case: Callable, mode: str, seed: int,
+          lo: int, hi: int) -> tuple[int, int]:
+    """Run cases [lo, hi); returns (failures, first failing index or -1)."""
+    results = starmap(case, _cases(fields, mode, seed, lo, hi))
+    bad = compress(count(lo), starmap(ne, results))  # indices where got != want
+    first = next(bad, -1)
+    return (first >= 0) + sum(1 for _ in bad), first
+
+
+def report(unit: str, n: int, mode: str, seed: int, fields: tuple[Field, ...],
+           case: Callable, cases: int, results: list[tuple[int, int]],
+           start: float) -> VerifyReport:
+    """Merge the (failures, first) results of a sweep's chunks into its report.
+
+    The counterexample is the lowest failing case: its verbatim inputs, in
+    field order, plus got/want values.
+    """
+    bad = [first for _, first in results if first >= 0]
+    counterexample = None
+    if bad:
+        values = _case_at(fields, mode, seed, min(bad))
+        counterexample = {f.name: v for f, v in zip(fields, values)}
+        counterexample["got"], counterexample["want"] = case(*values)
+    return VerifyReport(
+        unit=unit,
+        n=n,
+        mode=mode,
+        cases=cases,
+        failures=sum(failures for failures, _ in results),
+        counterexample=counterexample,
+        seed=seed if mode == "random" else None,
+        wall_time_s=time.perf_counter() - start,
+    )
+
+
+# --- the adder and multiplier case spaces -------------------------------------------
+
+def fresh_fields(n: int, v: int) -> tuple[int, int, int]:
+    """(xr, xi, zflag) of the fresh operand of value v: pure field routing."""
     if v == 0:
-        return FreshOperand(0, 0, 1, sign)
+        return 0, 0, 1
     bits = v - 1
-    return FreshOperand(bits & params.mask, bits >> params.n, 0, sign)
+    return bits & ((1 << n) - 1), bits >> n, 0
+
+
+def fresh_operand(n: int, v: int) -> FreshOperand:
+    """The fresh operand of value v on the 2^n - j channel."""
+    return FreshOperand(*fresh_fields(n, v), ChannelSign.MINUS)
+
+
+def adder_fields(params: Params) -> tuple[Field, ...]:
+    """A fresh operand x plus every accumulator state (i, r, carry, borrow)."""
+    size = 1 << params.n
+    return (Field("x", params.modulus, 0), Field("i", size, 2), Field("r", size, 1),
+            Field("carry", 2, 4), Field("borrow", 2, 3))
+
+
+def multiplier_fields(params: Params) -> tuple[Field, ...]:
+    """Two fresh operands."""
+    return Field("x", params.modulus, 0), Field("y", params.modulus, 1)
+
+
+def _adder_check(op: Callable, params: Params):
+    n, m = params.n, params.modulus
+
+    def case(x, i, r, carry, borrow):
+        y = ComplexChannelResidue(r, borrow, i, carry)
+        return (channel_value(op(fresh_operand(n, x), y, params), params),
+                ref_mod(x + channel_value(y, params), m))
+
+    return adder_fields(params), case
+
+
+def _multiplier_check(op: Callable, params: Params):
+    n, m = params.n, params.modulus
+
+    def case(x, y):
+        return (channel_value(op(fresh_operand(n, x), fresh_operand(n, y), params), params),
+                ref_mod(x * y, m))
+
+    return multiplier_fields(params), case
+
+
+_CHECKS = {"adder": _adder_check, "multiplier": _multiplier_check}
 
 
 def check_unit(
@@ -101,82 +274,17 @@ def check_unit(
     """Sweep a channel operation and compare values against plain modular math.
 
     unit is "adder" or "multiplier"; op is called with the same signature as
-    the corresponding dataflow operation.  Exhaustive mode covers every fresh
-    operand (and, for the adder, every accumulator state); random mode draws
-    `samples` seeded cases.  The first counterexample is reported verbatim
-    and sweeping never raises on a mismatch.
+    the corresponding dataflow operation.  The cases are those of
+    ``sweeps.run_verify`` for the same unit: exhaustive mode covers every
+    fresh operand (and, for the adder, every accumulator state) in flat-index
+    order; random mode draws `samples` cases from the splitmix64 stream of
+    `seed`.  The first counterexample is reported verbatim and sweeping
+    never raises on a mismatch.
     """
-    if unit not in ("adder", "multiplier"):
+    if unit not in _CHECKS:
         raise ValueError(f"unknown unit {unit!r}")
-    if mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    n = params.n
-    m = params.modulus
-    top = 1 << (2 * n)
-    sign = ChannelSign.MINUS
+    fields, case = _CHECKS[unit](op, params)
+    cases = case_count(fields, mode, samples, seed)
     start = time.perf_counter()
-    cases = 0
-    failures = 0
-    counterexample = None
-
-    def adder_case(x_val: int, r: int, b: int, i: int, c: int) -> dict | None:
-        x = _fresh(x_val, params, sign)
-        y = ComplexChannelResidue(r, b, i, c, sign)
-        got = channel_value(op(x, y, params), params)
-        want = ref_mod(x_val + channel_value(y, params), m)
-        if got != want:
-            return {"x": x_val, "r": r, "borrow": b, "i": i, "carry": c,
-                    "got": got, "want": want}
-        return None
-
-    def mul_case(x_val: int, y_val: int) -> dict | None:
-        got = channel_value(op(_fresh(x_val, params, sign), _fresh(y_val, params, sign), params), params)
-        want = ref_mod(x_val * y_val, m)
-        if got != want:
-            return {"x": x_val, "y": y_val, "got": got, "want": want}
-        return None
-
-    if mode == "exhaustive":
-        if unit == "adder":
-            for x_val in range(top + 1):
-                for i in range(1 << n):
-                    for r in range(1 << n):
-                        for c in (0, 1):
-                            for b in (0, 1):
-                                cases += 1
-                                bad = adder_case(x_val, r, b, i, c)
-                                if bad:
-                                    failures += 1
-                                    counterexample = counterexample or bad
-        else:
-            for x_val in range(top + 1):
-                for y_val in range(top + 1):
-                    cases += 1
-                    bad = mul_case(x_val, y_val)
-                    if bad:
-                        failures += 1
-                        counterexample = counterexample or bad
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            cases += 1
-            if unit == "adder":
-                bad = adder_case(rng.randrange(top + 1), rng.randrange(1 << n),
-                                 rng.randrange(2), rng.randrange(1 << n), rng.randrange(2))
-            else:
-                bad = mul_case(rng.randrange(top + 1), rng.randrange(top + 1))
-            if bad:
-                failures += 1
-                counterexample = counterexample or bad
-
-    return VerifyReport(
-        unit=unit,
-        n=n,
-        mode=mode,
-        cases=cases,
-        failures=failures,
-        counterexample=counterexample,
-        seed=seed if mode == "random" else None,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return report(unit, params.n, mode, seed, fields, case, cases,
+                  [sweep(fields, case, mode, seed, 0, cases)], start)

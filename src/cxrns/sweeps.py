@@ -5,39 +5,28 @@ stream, counts mismatches against plain modular arithmetic, and reports
 the lowest failing case.  Hot sweeps dispatch to the compiled kernels of
 ``_kernels.c`` (when a C compiler built them and the unit fits 64-bit
 math at the requested width); everything falls back to the pure-Python
-dataflow.
+case engine of ``oracle``.
 
 Each unit is one entry of ``UNITS``: its input fields and a case function
 that runs the device under test.  The case space, both decoders, the pure
 loop and the counterexample record all derive from that entry.
-
-Case ordering is part of the contract: exhaustive sweeps walk a single
-flat index, random sweeps use a counter-based generator, so results are
-identical across backends and across any contiguous partitioning into
-worker chunks.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
-import math
 import os
 import shutil
 import subprocess
-import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from itertools import compress, count, islice, product, repeat, starmap
-from operator import add, mod, ne
 from typing import Callable, NamedTuple, Optional
 
 from . import alu, forward, reverse
 from .core import (
-    ChannelSign,
     ComplexChannelResidue,
-    FreshOperand,
     ModuliSet,
     Params,
     dim1_value,
@@ -45,9 +34,17 @@ from .core import (
     moduli_set_build,
     operand_value,
 )
+from .oracle import (
+    Field,
+    adder_fields,
+    case_count,
+    fresh_fields,
+    fresh_operand,
+    multiplier_fields,
+    report,
+    sweep,
+)
 from .reporting import VerifyReport
-
-_ENV_PURE = "CXRNS_PURE"
 
 
 def compiled_available() -> bool:
@@ -55,54 +52,14 @@ def compiled_available() -> bool:
 
 
 def _use_compiled(force_pure: bool) -> bool:
-    return _C is not None and not force_pure and os.environ.get(_ENV_PURE) != "1"
+    return _C is not None and not force_pure
 
 
 def backend_name(force_pure: bool = False) -> str:
     return "compiled" if _use_compiled(force_pure) else "pure"
 
 
-# --- counter-based PRNG (mirrors the compiled splitmix64 exactly) ------------
-
-_MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_SLOTS = 8  # counter slots per random case: case idx draws from idx*8 + slot
-
-
-def _mix64(x: int) -> int:
-    x &= _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-def _draw(seed: int, counter: int) -> int:
-    return _mix64(seed + (counter + 1) * _GOLDEN)
-
-
-def _draw_range(seed: int, counter: int, span: int) -> int:
-    """Draw in [0, span); wide spans consume consecutive counter slots."""
-    nd = (span.bit_length() + 63) // 64
-    acc = 0
-    for t in range(nd):
-        acc |= _draw(seed, counter + t) << (64 * t)
-    return acc % span
-
-
 # --- unit specs -----------------------------------------------------------------
-
-class Field(NamedTuple):
-    """One input of a case, taking the values base .. base + span - 1.
-
-    A random case idx draws it from counter idx*8 + slot; a field whose
-    slot is None makes its unit exhaustive-only.
-    """
-
-    name: str
-    span: int
-    slot: Optional[int]
-    base: int = 0
-
 
 class Unit(NamedTuple):
     """A verify unit.
@@ -127,28 +84,15 @@ def _fset(n: int, p: int) -> ModuliSet:
     return moduli_set_build(f_set(n, p))
 
 
-def _fresh_fields(n: int, v: int) -> tuple[int, int, int]:
-    if v == 0:
-        return 0, 0, 1
-    bits = v - 1
-    return bits & ((1 << n) - 1), bits >> n, 0
-
-
-def _fresh_operand(n: int, v: int) -> FreshOperand:
-    return FreshOperand(*_fresh_fields(n, v), ChannelSign.MINUS)
-
-
 def _adder(params: Params):
     n, m = params.n, params.modulus
-    size = 1 << n
     add_fields = alu._add_fields
 
     def case(x, i, r, carry, borrow):
-        sr, sb, si, sc = add_fields(n, *_fresh_fields(n, x), r, borrow, i, carry)
+        sr, sb, si, sc = add_fields(n, *fresh_fields(n, x), r, borrow, i, carry)
         return (sr - sb + ((si + sc) << n)) % m, (x + r - borrow + ((i + carry) << n)) % m
 
-    return (Field("x", m, 0), Field("i", size, 2), Field("r", size, 1),
-            Field("carry", 2, 4), Field("borrow", 2, 3)), case
+    return adder_fields(params), case
 
 
 def _multiplier(params: Params):
@@ -164,7 +108,7 @@ def _multiplier(params: Params):
         r, b, i, c = mul_fields(n, x & mask, x >> n, y & mask, y >> n)
         return (r - b + ((i + c) << n)) % m, want
 
-    return (Field("x", m, 0), Field("y", m, 1)), case
+    return multiplier_fields(params), case
 
 
 def _checkpoint(params: Params):
@@ -172,7 +116,7 @@ def _checkpoint(params: Params):
     top = m - 1
 
     def case(x, y):
-        r_sum, i_sum = alu.intermediate_ri(_fresh_operand(n, x), _fresh_operand(n, y), params)
+        r_sum, i_sum = alu.intermediate_ri(fresh_operand(n, x), fresh_operand(n, y), params)
         return (r_sum + (i_sum << n)) % m, x * y % m
 
     # Nonzero operand pairs only.
@@ -273,7 +217,8 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
     """The compiled kernels, built from _kernels.c into `cache` on first use.
 
     The library is named by the source's hash and written under a temporary
-    name first, so concurrent first imports are safe.  Returns None (pure
+    name first, so concurrent first imports are safe.  A build removes the
+    libraries of earlier sources from `cache`.  Returns None (pure
     Python) without a C compiler, when the build fails or when the cache
     cannot be written or loaded.
     """
@@ -295,6 +240,13 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
                               f"Python:\n{build.stderr}", RuntimeWarning)
                 return None
             os.replace(tmp, lib)
+            for name in os.listdir(cache):  # libraries built from earlier sources
+                stale = os.path.join(cache, name)
+                if name.startswith("_kernels.") and name.endswith(".so") and stale != lib:
+                    try:
+                        os.unlink(stale)
+                    except OSError:  # gone already, or not ours to remove: keep loading
+                        pass
         kernels = ctypes.CDLL(lib)
     except OSError:
         return None
@@ -315,70 +267,7 @@ def _compiled_supported(unit: str, n: int) -> bool:
     return spec.kernel is not None and n <= spec.max_n
 
 
-# --- case spaces --------------------------------------------------------------
-
-def total_cases(unit: str, n: int, p: int, mode: str, samples: int) -> int:
-    if unit not in UNITS:
-        raise ValueError(f"unknown unit {unit!r}")
-    if mode == "random":
-        return samples
-    fields, _ = UNITS[unit].build(Params(n, p))
-    return math.prod(f.span for f in fields)
-
-
-def _draws(seed: int, f: Field, lo: int, hi: int):
-    """Values of field `f` for random cases [lo, hi), in case order."""
-    first = lo * _SLOTS + f.slot
-    if f.span.bit_length() > 64:  # wide draw, see _draw_range
-        values = map(_draw_range, repeat(seed), range(first, hi * _SLOTS + f.slot, _SLOTS),
-                     repeat(f.span))
-    else:  # one _draw per case, as C-level iterator stages
-        step = _SLOTS * _GOLDEN
-        start = seed + (first + 1) * _GOLDEN
-        keys = range(start, start + (hi - lo) * step, step)
-        values = map(mod, map(_mix64, keys), repeat(f.span))
-    return map(add, values, repeat(f.base)) if f.base else values
-
-
-def _cases(fields: tuple[Field, ...], mode: str, seed: int, lo: int, hi: int):
-    """Field-value tuples of cases [lo, hi); exhaustive order is the flat index."""
-    if mode == "exhaustive":
-        every = product(*(range(f.base, f.base + f.span) for f in fields))
-        # Skipping to lo costs ~10 ns a case, far below a case's own cost.
-        return islice(every, lo, hi)
-    return zip(*(_draws(seed, f, lo, hi) for f in fields))
-
-
-def _case_at(fields: tuple[Field, ...], mode: str, seed: int, idx: int) -> list[int]:
-    """Field values of the single case `idx`, as `_cases` yields them."""
-    if mode == "random":
-        return [f.base + _draw_range(seed, idx * _SLOTS + f.slot, f.span) for f in fields]
-    values = []
-    for f in reversed(fields):
-        idx, digit = divmod(idx, f.span)
-        values.append(f.base + digit)
-    return values[::-1]
-
-
-def _describe(unit: str, n: int, p: int, mode: str, seed: int, idx: int) -> dict:
-    """Counterexample record: verbatim inputs plus got/want values."""
-    fields, case = UNITS[unit].build(Params(n, p))
-    values = _case_at(fields, mode, seed, idx)
-    rec = {f.name: v for f, v in zip(fields, values)}
-    rec["got"], rec["want"] = case(*values)
-    return rec
-
-
 # --- chunk runners ---------------------------------------------------------------
-
-def _pure_chunk(unit: str, n: int, p: int, mode: str, seed: int,
-                lo: int, hi: int) -> tuple[int, int]:
-    fields, case = UNITS[unit].build(Params(n, p))
-    results = starmap(case, _cases(fields, mode, seed, lo, hi))
-    bad = compress(count(lo), starmap(ne, results))  # indices where got != want
-    first = next(bad, -1)
-    return (first >= 0) + sum(1 for _ in bad), first
-
 
 def _compiled_chunk(unit: str, n: int, p: int, mode: str, seed: int,
                     lo: int, hi: int) -> tuple[int, int]:
@@ -400,7 +289,7 @@ def _chunk(unit: str, n: int, p: int, mode: str, seed: int, lo: int, hi: int,
     """Run one contiguous case range; returns (failures, first_bad_index)."""
     if _use_compiled(force_pure) and _compiled_supported(unit, n):
         return _compiled_chunk(unit, n, p, mode, seed, lo, hi)
-    return _pure_chunk(unit, n, p, mode, seed, lo, hi)
+    return sweep(*UNITS[unit].build(Params(n, p)), mode, seed, lo, hi)
 
 
 def _split(total: int, workers: int) -> list[tuple[int, int]]:
@@ -426,25 +315,16 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     """
     if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNITS)}")
-    if mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown mode {mode!r}")
     params = Params(n, p)  # validate bounds
     if p and not UNITS[unit].reads_p:
         raise ValueError(f"{unit} sweeps do not read p, got p={p}")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if mode == "random":
-        if samples < 1:
-            raise ValueError(f"random sweeps need samples >= 1, got {samples}")
-        if any(f.slot is None for f in UNITS[unit].build(params)[0]):
-            raise ValueError(f"{unit} sweeps are exhaustive-only")
+    fields, case = UNITS[unit].build(params)
+    if mode == "random" and any(f.slot is None for f in fields):
+        raise ValueError(f"{unit} sweeps are exhaustive-only")
 
-    total = total_cases(unit, n, p, mode, samples)
-    if mode == "exhaustive" and total > sys.maxsize:
-        raise ValueError(f"{unit} at n={n} has {total} cases, too many to sweep "
-                         "exhaustively; use random mode")
+    total = case_count(fields, mode, samples, seed)
     start = time.perf_counter()
     chunks = _split(total, min(workers, os.cpu_count() or 1))
     if len(chunks) <= 1:
@@ -455,20 +335,4 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
             futures = [pool.submit(_chunk, unit, n, p, mode, seed, lo, hi, force_pure)
                        for lo, hi in chunks]
             results = [f.result() for f in futures]
-
-    failures = sum(r[0] for r in results)
-    bad = [r[1] for r in results if r[1] >= 0]
-    first = min(bad) if bad else None
-    counterexample = (_describe(unit, n, p, mode, seed, first)
-                      if first is not None else None)
-
-    return VerifyReport(
-        unit=unit,
-        n=n,
-        mode=mode,
-        cases=total,
-        failures=failures,
-        counterexample=counterexample,
-        seed=seed if mode == "random" else None,
-        wall_time_s=time.perf_counter() - start,
-    )
+    return report(unit, n, mode, seed, fields, case, total, results, start)

@@ -121,6 +121,27 @@ def test_op_json_cross_checks(capsys):
     assert "partials" in doc["trace"]
 
 
+def test_op_trace_json_document_is_pinned(capsys):
+    # 16 = 2^2n at n=2 routes to xr = xi = 3, which sets the partial-product
+    # carry c; 16 * 16 wraps to 1 modulo 17.
+    code, out, _ = run_cli(capsys, "op", "mul", "16", "16", "--n", "2", "--trace", "--json")
+    assert code == 0
+    want = {
+        "op": "mul", "n": 2, "x": 16, "y": 16,
+        "result": {"r": 2, "borrow": 0, "i": 3, "carry": 1},
+        "value": 1, "oracle": 1, "match": True,
+        "trace": {
+            "partials": {"c": 1, "h_rr": 0, "l_rr": 0, "h_ri": 3, "l_ri": 0,
+                         "h_ir": 3, "l_ir": 0, "h_ii": 2, "l_ii": 1},
+            "real_stage": {"u": 2, "v": 0, "c_out": 0, "v_out": 0},
+            "imag_stage": {"u": 1, "v": 0, "c_out": 0, "v_out": 0},
+            "real_rows": [2, 3],
+            "imag_rows": [3, 0],
+        },
+    }
+    assert out == dumps_report(want) + "\n"  # key order and layout included
+
+
 def test_op_trace_rejected_for_add(capsys):
     for extra in ([], ["--json"]):
         code, out, err = run_cli(capsys, "op", "add", "1", "2", "--n", "2", "--trace", *extra)

@@ -1,25 +1,18 @@
 """Reference-arithmetic oracle: trusted first, everything else checks against it."""
 
+import ast
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxrns import oracle
 from cxrns.core import ChannelSign, ComplexChannelResidue, GaussianInt, Params
-from cxrns.oracle import (
-    OracleContext,
-    check_unit,
-    gaussian_mod,
-    gaussian_value,
-    ref_mod,
-)
+from cxrns.oracle import check_unit, gaussian_mod, gaussian_value, ref_mod
 from cxrns.alu import add_fresh, mul
-
-
-def test_oracle_context_modulus():
-    assert OracleContext(2).modulus_22n1 == 17
-    assert OracleContext(5).modulus_22n1 == 1025
-    for n in range(2, 32):
-        assert OracleContext(n).modulus_22n1 == (1 << n) ** 2 + 1
 
 
 def test_ref_mod_examples():
@@ -116,3 +109,40 @@ def test_check_unit_flags_injected_fault():
 def test_check_unit_rejects_unknown_unit():
     with pytest.raises(ValueError):
         check_unit("divider", mul, Params(2))
+
+
+def test_check_unit_rejects_what_run_verify_rejects():
+    for samples in (0, -5):  # a sweep of no cases would pass with nothing checked
+        with pytest.raises(ValueError, match="samples"):
+            check_unit("multiplier", mul, Params(2), mode="random", samples=samples)
+    for seed in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed"):
+            check_unit("multiplier", mul, Params(2), mode="random", samples=10, seed=seed)
+    with pytest.raises(ValueError, match="mode"):
+        check_unit("adder", add_fresh, Params(2), mode="fuzzy")
+    with pytest.raises(ValueError, match="random mode"):
+        check_unit("multiplier", mul, Params(31))  # about 2^124 cases
+
+
+def test_oracle_imports_no_dataflow():
+    # The checking path must not inherit a dataflow bug: units under test
+    # reach the oracle only as the ops passed into check_unit.
+    local = set()
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            local |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("cxrns"):
+            local.add(node.module.partition(".")[2])
+        elif isinstance(node, ast.Import):
+            local |= {a.name.partition(".")[2] for a in node.names
+                      if a.name.startswith("cxrns.")}
+    assert local == {"core", "reporting"}
+
+
+def test_importing_the_package_loads_no_kernels():
+    src = str(Path(oracle.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cxrns; "
+            "print(sorted({'cxrns.sweeps', 'ctypes'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert run.stdout.strip() == "[]"

@@ -7,8 +7,9 @@ from concurrent.futures import Future
 
 import pytest
 
-from cxrns import sweeps
-from cxrns.core import Params
+from cxrns import oracle, sweeps
+from cxrns.alu import add_fresh, mul
+from cxrns.core import Params, operand_value
 from cxrns.reporting import VerifyReport
 
 needs_compiled = pytest.mark.skipif(
@@ -61,7 +62,7 @@ def _fields4(export, *args):
 def test_prng_stream_identical_across_backends():
     for seed in (0, 1, 0xDEADBEEF):
         for counter in list(range(40)) + [10**6, 2**60]:
-            assert sweeps._C.draw(seed, counter) == sweeps._draw(seed, counter)
+            assert sweeps._C.draw(seed, counter) == oracle._draw(seed, counter)
 
 
 @needs_compiled
@@ -108,9 +109,25 @@ def test_kernels_build_into_an_empty_cache(tmp_path):
     built = [p.name for p in cache.iterdir()]  # no temporary left behind
     assert len(built) == 1
     assert built[0].startswith("_kernels.") and built[0].endswith(".so")
-    assert kernels.draw(7, 3) == sweeps._draw(7, 3)
+    assert kernels.draw(7, 3) == oracle._draw(7, 3)
     assert sweeps._load_kernels(str(cache)) is not None  # reloads from the cache
     assert [p.name for p in cache.iterdir()] == built
+
+
+def test_build_removes_libraries_of_earlier_sources(tmp_path):
+    if not sweeps.compiled_available():
+        pytest.skip("no C compiler")
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / f"_kernels.{'0' * 64}.so"
+    building = cache / f"{stale.name}.99999.tmp"  # another process's build in flight
+    stale.write_bytes(b"")
+    building.write_bytes(b"")
+    kernels = sweeps._load_kernels(str(cache))
+    assert kernels is not None
+    assert kernels.draw(7, 3) == oracle._draw(7, 3)
+    assert not stale.exists() and building.exists()
+    assert len(list(cache.glob("_kernels.*.so"))) == 1
 
 
 def test_no_compiler_means_pure_backend(monkeypatch, tmp_path):
@@ -315,19 +332,38 @@ GOLDEN_EXHAUSTIVE = {  # unit: cases 1, 2, 37 and the last one at n=2
 def test_random_decode_is_pinned(unit, n, p):
     fields, _ = sweeps.UNITS[unit].build(Params(n, p))
     want = GOLDEN_RANDOM[unit, n, p]
-    assert list(sweeps._cases(fields, "random", 7, 0, 3)) == want
-    assert list(sweeps._cases(fields, "random", 7, 1, 3)) == want[1:]
-    assert [tuple(sweeps._case_at(fields, "random", 7, idx)) for idx in range(3)] == want
+    assert list(oracle._cases(fields, "random", 7, 0, 3)) == want
+    assert list(oracle._cases(fields, "random", 7, 1, 3)) == want[1:]
+    assert [tuple(oracle._case_at(fields, "random", 7, idx)) for idx in range(3)] == want
+
+
+_RECORDED = {  # unit: the real op, and the case its operands encode, in spec order
+    "adder": (add_fresh, lambda x, y, p: (operand_value(x, p), y.i, y.r, y.carry, y.borrow)),
+    "multiplier": (mul, lambda x, y, p: (operand_value(x, p), operand_value(y, p))),
+}
+
+
+@pytest.mark.parametrize("unit", list(_RECORDED))
+def test_check_unit_draws_the_run_verify_cases(unit):
+    real, encoded = _RECORDED[unit]
+    seen = []
+
+    def op(x, y, params):
+        seen.append(encoded(x, y, params))
+        return real(x, y, params)
+
+    assert oracle.check_unit(unit, op, Params(5), mode="random", samples=3, seed=7).ok
+    assert seen == GOLDEN_RANDOM[unit, 5, 0]
 
 
 @pytest.mark.parametrize("unit", list(GOLDEN_EXHAUSTIVE))
 def test_exhaustive_decode_is_pinned(unit):
     fields, _ = sweeps.UNITS[unit].build(Params(2))
     assert [f.name for f in fields] == GOLDEN_FIELDS[unit].split()
-    total = sweeps.total_cases(unit, 2, 0, "exhaustive", 0)
+    total = oracle.case_count(fields, "exhaustive", 0, 0)
     for idx, want in zip((1, 2, 37, total - 1), GOLDEN_EXHAUSTIVE[unit]):
-        assert list(sweeps._cases(fields, "exhaustive", 0, idx, idx + 1)) == [want]
-        assert tuple(sweeps._case_at(fields, "exhaustive", 0, idx)) == want
+        assert list(oracle._cases(fields, "exhaustive", 0, idx, idx + 1)) == [want]
+        assert tuple(oracle._case_at(fields, "exhaustive", 0, idx)) == want
 
 
 def test_run_verify_validates_arguments():
