@@ -134,13 +134,20 @@ INLINE uint64_t phi(const struct ctx *c, const uint64_t *f)
     return (f[0] + ((f[2] + f[3]) << c->n) + c->m - f[1]) % c->m;
 }
 
+/* Modulo-(2^2n + 1) carry-save stage over (z2, ~z1, z0): returns u; *v takes
+ * the carry word with its position-2n carry folded in as a complemented LSB. */
+INLINE uint64_t csa22n1(int n, uint64_t z2, uint64_t z1, uint64_t z0, uint64_t *v)
+{
+    uint64_t wmask = ((uint64_t)1 << (2 * n)) - 1, z1b = z1 ^ wmask;
+    uint64_t cw = ((z2 & z1b) | (z2 & z0) | (z1b & z0)) << 1;
+    *v = (cw & wmask) | ((cw >> (2 * n)) ^ 1);
+    return z2 ^ z1b ^ z0;
+}
+
 INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
 {
-    uint64_t wmask = ((uint64_t)1 << (2 * n)) - 1;
-    uint64_t z2 = z >> (4 * n), z1b = ((z >> (2 * n)) & wmask) ^ wmask, z0 = z & wmask;
-    uint64_t u = z2 ^ z1b ^ z0;
-    uint64_t cw = ((z2 & z1b) | (z2 & z0) | (z1b & z0)) << 1;
-    uint64_t t = u + ((cw & wmask) | ((cw >> (2 * n)) ^ 1));
+    uint64_t wmask = ((uint64_t)1 << (2 * n)) - 1, v;
+    uint64_t t = csa22n1(n, z >> (4 * n), (z >> (2 * n)) & wmask, z & wmask, &v) + v;
     if (t >= m)
         t -= m;
     return (t & wmask) + 1 - (t >> (2 * n));  /* flagged: bits + (1 - zflag) */
@@ -218,6 +225,24 @@ INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
     uint64_t vh, cn, vn;
     uint64_t u = compress42(c->n, v[0], v[1], v[2], v[3], v[4], v[5], &vh, &cn, &vn);
     return u + vh + ((cn + vn) << c->n) != v[0] + v[1] + v[2] + v[3] + v[4] + v[5];
+}
+
+INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t z2 = v[0], z1 = v[1], z0 = v[2], wmask = c->m - 2, w;
+    uint64_t u = csa22n1(c->n, z2, z1, z0, &w);
+    return (u + w) % c->m != (z2 + (z1 ^ wmask) + z0 + 1) % c->m;
+}
+
+INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
+{
+    uint64_t i = v[0], r = v[1], carry = v[2], borrow = v[3];
+    /* channel_to_dim1: the main word 2^2n + 2^n i + r plus the sparse word */
+    uint64_t x = ((c->m - 1) + (i << c->n) + r + ((carry << c->n) | (borrow ^ 1))) % c->m;
+    uint64_t zflag = x == 0, bits = zflag ? 0 : x - 1;  /* dim1_encode */
+    uint64_t xr = bits & c->mask, xi = bits >> c->n;    /* to_channel_operand */
+    uint64_t f[4] = {r, borrow, i, carry};
+    return (xr + (1 - zflag) + (xi << c->n)) % c->m != phi(c, f);
 }
 
 /* --- case loop --------------------------------------------------------------- */
@@ -303,6 +328,8 @@ SWEEP(checkpoint, 2, BASED)  /* x, y from 1 */
 SWEEP(forward, 1, 1u)
 SWEEP(roundtrip, 1, 1u)
 SWEEP(compressor, 6, 0u)
+SWEEP(csa, 3, 0u)
+SWEEP(normalize, 4, 0u)
 
 /* --- exported helpers (parity checks against the Python dataflow) ----------- */
 

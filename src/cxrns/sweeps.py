@@ -15,6 +15,7 @@ loop and the counterexample record all derive from that entry.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -22,7 +23,7 @@ import subprocess
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from . import alu, forward, reverse
 from .core import (
@@ -74,14 +75,17 @@ class Unit(NamedTuple):
     """
 
     build: Callable
-    kernel: Optional[str] = None
+    kernel: str
     max_n: int = 31
     kernel_args: Callable = lambda n, p: ()
     reads_p: bool = False
 
 
-def _fset(n: int, p: int) -> ModuliSet:
-    return moduli_set_build(f_set(n, p))
+@functools.lru_cache(maxsize=None)
+def _roundtrip_plan(n: int, p: int) -> tuple[ModuliSet, reverse.NcrtPlan]:
+    """The roundtrip unit's moduli set and its NCRT plan, built once per (n, p)."""
+    mset = moduli_set_build(f_set(n, p))
+    return mset, reverse.ncrt_plan(mset)
 
 
 def _adder(params: Params):
@@ -133,8 +137,7 @@ def _forward(params: Params):
 
 
 def _roundtrip(params: Params):
-    mset = _fset(params.n, params.p)
-    plan = reverse.ncrt_plan(mset)
+    mset, plan = _roundtrip_plan(params.n, params.p)
 
     def case(z):
         return reverse.ncrt_reverse(forward.forward_std(z, mset), plan), z
@@ -143,7 +146,7 @@ def _roundtrip(params: Params):
 
 
 def _roundtrip_kernel_args(n: int, p: int) -> tuple[int, ...]:
-    return (p, *reverse.ncrt_plan(_fset(n, p)).mu)
+    return (p, *_roundtrip_plan(n, p)[1].mu)
 
 
 def _compressor(params: Params):
@@ -183,7 +186,6 @@ def _normalize(params: Params):
             Field("borrow", 2, 1)), case
 
 
-# csa and normalize have no kernel: they are tiny or arbitrary-precision.
 UNITS = {
     "adder": Unit(_adder, "adder"),
     "multiplier": Unit(_multiplier, "mul"),
@@ -192,8 +194,8 @@ UNITS = {
     "roundtrip": Unit(_roundtrip, "roundtrip", max_n=10, kernel_args=_roundtrip_kernel_args,
                       reads_p=True),
     "compressor": Unit(_compressor, "compressor"),
-    "csa": Unit(_csa),
-    "normalize": Unit(_normalize),
+    "csa": Unit(_csa, "csa"),
+    "normalize": Unit(_normalize, "normalize"),
 }
 
 
@@ -209,7 +211,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "mul_fields": (None, (_INT, *[_U64] * 4, _P_U64)),
     **{f"sweep_{spec.kernel}": (_INT, (_INT, _P_I64, _INT, _P_U64, _P_U64, _P_U64,
                                        _INT, _U64, _U64, _U64, _P_I64))
-       for spec in UNITS.values() if spec.kernel},
+       for spec in UNITS.values()},
 }
 
 
@@ -263,8 +265,7 @@ _C = _load_kernels()
 
 
 def _compiled_supported(unit: str, n: int) -> bool:
-    spec = UNITS[unit]
-    return spec.kernel is not None and n <= spec.max_n
+    return n <= UNITS[unit].max_n
 
 
 # --- chunk runners ---------------------------------------------------------------

@@ -162,13 +162,37 @@ def test_unwritable_cache_means_pure_backend(tmp_path):
 
 
 def test_compiled_support_gates():
-    assert not sweeps._compiled_supported("csa", 2)
-    assert not sweeps._compiled_supported("normalize", 2)
+    for unit in ("csa", "normalize"):
+        assert sweeps._compiled_supported(unit, 2)
+        assert sweeps._compiled_supported(unit, 31)
     assert sweeps._compiled_supported("forward", 12)
     assert not sweeps._compiled_supported("forward", 13)
     assert sweeps._compiled_supported("roundtrip", 10)
     assert not sweeps._compiled_supported("roundtrip", 11)
     assert sweeps._compiled_supported("multiplier", 31)
+
+
+def test_every_unit_has_a_kernel():
+    # A unit without a compiled kernel would leave its sweeps in pure Python.
+    for unit, spec in sweeps.UNITS.items():
+        assert spec.kernel is not None, unit
+        assert sweeps._compiled_supported(unit, 2), unit
+        if sweeps.compiled_available():
+            assert getattr(sweeps._C, f"sweep_{spec.kernel}").argtypes, unit
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", ["csa", "normalize"])
+@pytest.mark.parametrize("n,mode", [(2, "exhaustive"), (3, "exhaustive"), (5, "random"),
+                                    (12, "random"), (16, "random"), (31, "random")])
+def test_csa_and_normalize_kernels_match_pure_reports(unit, n, mode):
+    reports = [sweeps.run_verify(unit, n, mode=mode, samples=3000, seed=7,
+                                 force_pure=force_pure).to_dict()
+               for force_pure in (True, False)]
+    for report in reports:
+        report.pop("wall_time_s")
+    assert reports[0] == reports[1]
+    assert reports[0]["failures"] == 0
 
 
 def test_split_is_contiguous_and_complete():
@@ -189,6 +213,11 @@ def test_large_widths_stay_exact():
         assert report.failures == 0
         report = sweeps.run_verify("adder", n, mode="random", samples=2000, seed=5)
         assert report.failures == 0
+    for force_pure in (True, False):  # 62-bit words; sums past 2^63
+        for unit in ("csa", "normalize"):
+            report = sweeps.run_verify(unit, 31, mode="random", samples=2000, seed=5,
+                                       force_pure=force_pure)
+            assert report.failures == 0
     # pure bignum forward beyond the compiled gate
     report = sweeps.run_verify("forward", 13, mode="random", samples=300, seed=5)
     assert report.failures == 0
@@ -264,13 +293,25 @@ def test_counterexample_ordering_deterministic_across_workers(monkeypatch):
     assert reports[0].counterexample == reports[1].counterexample == reports[2].counterexample
 
 
-_MULTIPLIER = sweeps.UNITS["multiplier"]
+def _planted_reports(monkeypatch, unit, names, n, mode):
+    """Reports of both backends at workers 1, 2 and 5 for `unit` with the
+    fields `names` shifted up by one, so that each reaches one past its range."""
+    spec = sweeps.UNITS[unit]
 
+    def shifted(params):
+        fields, case = spec.build(params)
+        return tuple(f._replace(base=1) if f.name in names else f for f in fields), case
 
-def _multiplier_y_from_one(params):
-    """The multiplier spec with y shifted to 1 .. 2^2n + 1: y = 2^2n + 1 is out of range."""
-    (x, y), case = _MULTIPLIER.build(params)
-    return (x, y._replace(base=1)), case
+    monkeypatch.setitem(sweeps.UNITS, unit, spec._replace(build=shifted))
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
+    reports = [sweeps.run_verify(unit, n, mode=mode, samples=20_000, seed=7,
+                                 workers=workers, force_pure=force_pure)
+               for force_pure in (True, False) for workers in (1, 2, 5)]
+    assert reports[0].failures > 0
+    for report in reports[1:]:
+        assert report.failures == reports[0].failures
+        assert report.counterexample == reports[0].counterexample
+    return reports[0]
 
 
 @needs_compiled
@@ -278,17 +319,24 @@ def _multiplier_y_from_one(params):
 def test_planted_fault_reported_identically_by_both_backends(monkeypatch, mode):
     # The compiled kernel reads the shifted case space from the spec, so
     # both backends must find the same faults at the same first case.
-    monkeypatch.setitem(sweeps.UNITS, "multiplier",
-                        _MULTIPLIER._replace(build=_multiplier_y_from_one))
-    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
-    reports = [sweeps.run_verify("multiplier", 3, mode=mode, samples=20_000, seed=7,
-                                 workers=workers, force_pure=force_pure)
-               for force_pure in (True, False) for workers in (1, 2, 5)]
-    assert reports[0].failures > 0
-    assert reports[0].counterexample["y"] == 65
-    for report in reports[1:]:
-        assert report.failures == reports[0].failures
-        assert report.counterexample == reports[0].counterexample
+    # y = 2^2n + 1 is out of range.
+    report = _planted_reports(monkeypatch, "multiplier", ("y",), 3, mode)
+    assert report.counterexample["y"] == 65
+
+
+@needs_compiled
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("unit,names,n,planted", [
+    # The end-around fold takes one carry out of position 2n; z1 = z0 = 2^2n
+    # makes a second one.
+    pytest.param("csa", ("z1", "z0"), 2, {"z1": 16, "z0": 16}, id="csa"),
+    # borrow = 2 is no bit: NOT(borrow) in the sparse word becomes 3.
+    pytest.param("normalize", ("borrow",), 3, {"borrow": 2}, id="normalize"),
+])
+def test_planted_fault_in_csa_and_normalize_reported_identically(monkeypatch, unit, names,
+                                                                 n, planted, mode):
+    report = _planted_reports(monkeypatch, unit, names, n, mode)
+    assert {k: report.counterexample[k] for k in planted} == planted
 
 
 # Decoded cases pinned from the hand-written decoders the spec table replaced:
