@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 
@@ -53,7 +54,8 @@ class Params:
     The full adaptive moduli set is {2^(n+p), 2^n - 1, 2^n + 1, 2^n -+ j};
     p = 0 gives the plain four-modulus form.  n is capped at 31 so every
     internal channel sum fits a 64-bit accumulator; only dynamic ranges
-    use arbitrary precision.
+    use arbitrary precision.  The word constants below are computed on
+    first use and then kept; fields, equality, hash and repr are (n, p).
     """
 
     n: int
@@ -65,17 +67,17 @@ class Params:
         if not 0 <= self.p <= self.n:
             raise ValueError(f"extension exponent p must be in [0, n], got {self.p}")
 
-    @property
+    @cached_property
     def mask(self) -> int:
         """n-bit word mask 2^n - 1."""
         return (1 << self.n) - 1
 
-    @property
+    @cached_property
     def wide_mask(self) -> int:
         """2n-bit word mask 2^2n - 1."""
         return (1 << (2 * self.n)) - 1
 
-    @property
+    @cached_property
     def modulus(self) -> int:
         """Composite channel modulus 2^2n + 1."""
         return (1 << (2 * self.n)) + 1
@@ -88,20 +90,30 @@ class ChannelSign(enum.Enum):
     PLUS = "2^n+j"
 
 
-@dataclass(frozen=True)
+# The residue types below are frozen dataclasses with a hand-written
+# __init__: it runs the type's field checks, if it has any, and stores the
+# fields straight into the instance __dict__.  The __init__ a frozen
+# dataclass generates goes through object.__setattr__ per field and costs
+# about three times as much.  Equality, hashing, repr, immutability,
+# dataclasses.replace and pickling stay the dataclass's own.
+
+@dataclass(frozen=True, init=False)
 class Dim1Residue:
     """Flag-encoded modulo-(2^2n + 1) residue: value = bits + (1 - zflag)."""
 
     bits: int
     zflag: int
 
-    def __post_init__(self) -> None:
-        if self.zflag not in (0, 1):
+    def __init__(self, bits: int, zflag: int) -> None:
+        if zflag not in (0, 1):
             raise ValueError("zflag must be a single bit")
-        if self.zflag and self.bits:
+        if zflag and bits:
             raise ValueError("zflag set requires bits == 0")
-        if self.bits < 0:
+        if bits < 0:
             raise ValueError("bits must be non-negative")
+        fields = self.__dict__
+        fields["bits"] = bits
+        fields["zflag"] = zflag
 
 
 def dim1_encode(x: int, params: Params) -> Dim1Residue:
@@ -118,7 +130,7 @@ def dim1_value(r: Dim1Residue) -> int:
     return r.bits + (1 - r.zflag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ComplexChannelResidue:
     """Stored-borrow (real) / stored-carry (imaginary) channel residue.
 
@@ -132,6 +144,15 @@ class ComplexChannelResidue:
     i: int
     carry: int
     sign: ChannelSign = ChannelSign.MINUS
+
+    def __init__(self, r: int, borrow: int, i: int, carry: int,
+                 sign: ChannelSign = ChannelSign.MINUS) -> None:
+        fields = self.__dict__
+        fields["r"] = r
+        fields["borrow"] = borrow
+        fields["i"] = i
+        fields["carry"] = carry
+        fields["sign"] = sign
 
 
 def canonical_zero(sign: ChannelSign = ChannelSign.MINUS) -> ComplexChannelResidue:
@@ -157,7 +178,7 @@ def residue_from_value(v: int, params: Params, sign: ChannelSign = ChannelSign.M
     return ComplexChannelResidue(0, 0, params.mask, 1, sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FreshOperand:
     """Channel operand straight out of the forward converter.
 
@@ -171,11 +192,17 @@ class FreshOperand:
     zflag: int
     sign: ChannelSign = ChannelSign.MINUS
 
-    def __post_init__(self) -> None:
-        if self.zflag not in (0, 1):
+    def __init__(self, xr: int, xi: int, zflag: int,
+                 sign: ChannelSign = ChannelSign.MINUS) -> None:
+        if zflag not in (0, 1):
             raise ValueError("zflag must be a single bit")
-        if self.zflag and (self.xr or self.xi):
+        if zflag and (xr or xi):
             raise ValueError("zflag set requires xr == xi == 0")
+        fields = self.__dict__
+        fields["xr"] = xr
+        fields["xi"] = xi
+        fields["zflag"] = zflag
+        fields["sign"] = sign
 
 
 def operand_value(x: FreshOperand, params: Params) -> int:
@@ -289,6 +316,11 @@ class ModuliSet:
 
     channels: tuple[Descriptor, ...]
     dynamic_range: int
+
+    @cached_property
+    def moduli(self) -> tuple[int, ...]:
+        """The channel moduli in channel order; a Gaussian pair counts 2^2n + 1."""
+        return tuple(c.modulus for c in self.channels)
 
     def __str__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.channels) + "}"

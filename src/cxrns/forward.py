@@ -9,6 +9,9 @@ encoding: reinterpreting its top bit as the zero flag absorbs the final
 
 Splitting a flagged residue into the complex channel operand is pure
 field routing, also free of arithmetic.
+
+The per-channel residues of a whole moduli set (forward_std) are plain
+remainders z mod m.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ class CsaPair:
     v: int
 
 
-def csa_mod_22n1(z2: int, z1: int, z0: int, params: Params) -> CsaPair:
-    """One modulo-(2^2n + 1) carry-save stage over (z2, ~z1, z0)."""
+def _csa(z2: int, z1: int, z0: int, params: Params) -> tuple[int, int]:
+    """The carry-save stage of csa_mod_22n1 on plain ints; returns (u, v)."""
     wmask = params.wide_mask
     z1bar = z1 ^ wmask
     u = z2 ^ z1bar ^ z0
@@ -64,15 +67,18 @@ def csa_mod_22n1(z2: int, z1: int, z0: int, params: Params) -> CsaPair:
     top = carry >> (2 * params.n)
     # carry-out weighs 2^2n == -1: fold as complemented LSB, one unit of the
     # pending +1 absorbed.  The carry word's LSB slot is free by construction.
-    v = (carry & wmask) | (top ^ 1)
-    return CsaPair(u, v)
+    return u, (carry & wmask) | (top ^ 1)
+
+
+def csa_mod_22n1(z2: int, z1: int, z0: int, params: Params) -> CsaPair:
+    """One modulo-(2^2n + 1) carry-save stage over (z2, ~z1, z0)."""
+    return CsaPair(*_csa(z2, z1, z0, params))
 
 
 def forward_22n1(z: int, params: Params) -> Dim1Residue:
     """Reduce a wide input modulo 2^2n + 1 into the flagged encoding."""
-    z2, z1, z0 = split_input(z, params)
-    pair = csa_mod_22n1(z2, z1, z0, params)
-    t = pair.u + pair.v
+    u, v = _csa(*split_input(z, params), params)
+    t = u + v
     if t >= params.modulus:
         t -= params.modulus
     # t in [0, 2^2n]; its top bit doubles as the zero flag.
@@ -84,56 +90,25 @@ def to_channel_operand(r: Dim1Residue, sign: ChannelSign, params: Params) -> Fre
     return FreshOperand(r.bits & params.mask, r.bits >> params.n, r.zflag, sign)
 
 
-def _fold_pow2_minus1(z: int, t: int) -> int:
-    """z mod (2^t - 1) by summing t-bit digit groups."""
-    m = (1 << t) - 1
-    while z > m:
-        z = (z & m) + (z >> t)
-    return z % m
-
-
-def _fold_pow2_plus1(z: int, t: int) -> int:
-    """z mod (2^t + 1) by alternating t-bit digit groups (2^t == -1)."""
-    m = (1 << t) + 1
-    mask = m - 2
-    acc = 0
-    s = 1
-    while z:
-        acc += s * (z & mask)
-        s = -s
-        z >>= t
-    return acc % m
-
-
-def _reduce_int_modulus(z: int, m: int) -> int:
-    """Digit-group reduction for 2^t -+ 1 moduli, plain remainder otherwise."""
-    t = m.bit_length() - 1
-    if m == (1 << t) - 1 and t >= 1:
-        return _fold_pow2_minus1(z, t)
-    if m == (1 << t) + 1:
-        return _fold_pow2_plus1(z, t)
-    return z % m
-
-
 def channel_residue(z: int, desc: Descriptor) -> int:
-    """Residue of z on one channel descriptor."""
-    if isinstance(desc, PowerOfTwo):
-        return z & (desc.modulus - 1)
-    if isinstance(desc, IntModulus):
-        return _reduce_int_modulus(z, desc.m)
-    if isinstance(desc, GaussianPair):
-        return _fold_pow2_plus1(z, 2 * desc.n)
-    raise TypeError(f"unknown descriptor {desc!r}")
+    """Residue of z on one channel descriptor: the plain remainder z mod m.
+
+    A Gaussian pair gives its joint integer residue in [0, 2^2n].
+    """
+    if not isinstance(desc, (PowerOfTwo, IntModulus, GaussianPair)):
+        raise TypeError(f"unknown descriptor {desc!r}")
+    return z % desc.modulus
 
 
 def forward_std(z: int, mset: ModuliSet) -> list[int]:
     """Residues of z on every channel of the set, in channel order.
 
-    A Gaussian pair contributes one integer residue in [0, 2^2n]; its
-    flagged/operand views come from dim1_encode and to_channel_operand.
+    Each is the plain remainder z mod m over the set's moduli.  A Gaussian
+    pair contributes one integer residue in [0, 2^2n]; its flagged/operand
+    views come from dim1_encode and to_channel_operand.
     """
     if not 0 <= z < mset.dynamic_range:
         raise RangeExceeded(
             f"input {z} outside the dynamic range [0, {mset.dynamic_range}) of {mset}"
         )
-    return [channel_residue(z, desc) for desc in mset.channels]
+    return [z % m for m in mset.moduli]

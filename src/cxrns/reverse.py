@@ -82,7 +82,7 @@ def ncrt_plan(mset: ModuliSet) -> NcrtPlan:
     A Gaussian pair contributes its joint integer modulus 2^2n + 1 (its
     residue reaches the plan through channel_to_dim1).
     """
-    moduli = tuple(desc.modulus for desc in mset.channels)
+    moduli = mset.moduli
     k = len(moduli)
     mu = []
     for i in range(1, k):

@@ -270,10 +270,9 @@ def _compiled_supported(unit: str, n: int) -> bool:
 
 # --- chunk runners ---------------------------------------------------------------
 
-def _compiled_chunk(unit: str, n: int, p: int, mode: str, seed: int,
-                    lo: int, hi: int) -> tuple[int, int]:
+def _compiled_chunk(unit: str, n: int, p: int, fields: tuple[Field, ...], mode: str,
+                    seed: int, lo: int, hi: int) -> tuple[int, int]:
     spec = UNITS[unit]
-    fields, _ = spec.build(Params(n, p))
     column = _U64 * len(fields)
     out = (_I64 * 2)()
     if getattr(_C, f"sweep_{spec.kernel}")(
@@ -285,11 +284,16 @@ def _compiled_chunk(unit: str, n: int, p: int, mode: str, seed: int,
     return out[0], out[1]
 
 
-def _chunk(unit: str, n: int, p: int, mode: str, seed: int, lo: int, hi: int,
-           force_pure: bool) -> tuple[int, int]:
-    """Run one contiguous case range; returns (failures, first_bad_index)."""
+def _chunk(unit: str, n: int, p: int, fields: tuple[Field, ...], mode: str, seed: int,
+           lo: int, hi: int, force_pure: bool) -> tuple[int, int]:
+    """Run one contiguous case range; returns (failures, first_bad_index).
+
+    `fields` is the unit's spec as run_verify built it.  The pure engine
+    builds the spec again for its case function, a closure that cannot be
+    sent to a worker process.
+    """
     if _use_compiled(force_pure) and _compiled_supported(unit, n):
-        return _compiled_chunk(unit, n, p, mode, seed, lo, hi)
+        return _compiled_chunk(unit, n, p, fields, mode, seed, lo, hi)
     return sweep(*UNITS[unit].build(Params(n, p)), mode, seed, lo, hi)
 
 
@@ -329,11 +333,12 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     start = time.perf_counter()
     chunks = _split(total, min(workers, os.cpu_count() or 1))
     if len(chunks) <= 1:
-        results = [_chunk(unit, n, p, mode, seed, lo, hi, force_pure)
+        results = [_chunk(unit, n, p, fields, mode, seed, lo, hi, force_pure)
                    for lo, hi in chunks]
     else:
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_chunk, unit, n, p, mode, seed, lo, hi, force_pure)
+            futures = [pool.submit(_chunk, unit, n, p, fields, mode, seed, lo, hi,
+                                   force_pure)
                        for lo, hi in chunks]
             results = [f.result() for f in futures]
     return report(unit, n, mode, seed, fields, case, total, results, start)

@@ -1,5 +1,9 @@
 """Residue encodings, value maps, and the moduli-set model."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +16,7 @@ from cxrns.core import (
     FreshOperand,
     GaussianPair,
     IntModulus,
+    ModuliSet,
     Params,
     PowerOfTwo,
     RangeExceeded,
@@ -24,6 +29,8 @@ from cxrns.core import (
     operand_value,
     residue_from_value,
 )
+from cxrns.alu import mul_trace
+from cxrns.forward import to_channel_operand
 
 
 def test_params_bounds():
@@ -175,3 +182,128 @@ def test_f_set_shape():
     assert [d.modulus for d in descs] == [256, 31, 33, 1025]
     assert moduli_set_build(f_set(2)).dynamic_range == 1020
     assert moduli_set_build(f_set(5)).dynamic_range == (1 << 5) * ((1 << 20) - 1)
+
+
+# --- the public-type contract of the residue types ---------------------------------
+
+RESIDUES = [
+    (Dim1Residue, (13, 0), {"bits": 13, "zflag": 0}),
+    (FreshOperand, (3, 1, 0), {"xr": 3, "xi": 1, "zflag": 0}),
+    (FreshOperand, (3, 1, 0, ChannelSign.PLUS),
+     {"xr": 3, "xi": 1, "zflag": 0, "sign": ChannelSign.PLUS}),
+    (ComplexChannelResidue, (3, 1, 2, 0), {"r": 3, "borrow": 1, "i": 2, "carry": 0}),
+    (ComplexChannelResidue, (3, 1, 2, 0, ChannelSign.PLUS),
+     {"r": 3, "borrow": 1, "i": 2, "carry": 0, "sign": ChannelSign.PLUS}),
+]
+RESIDUE_IDS = ["dim1", "fresh", "fresh-plus", "channel", "channel-plus"]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", RESIDUES, ids=RESIDUE_IDS)
+def test_residue_positional_equals_keyword(cls, args, kwargs):
+    a, b = cls(*args), cls(**kwargs)
+    assert a == b and hash(a) == hash(b)
+    assert {a, b} == {a}
+    record = dataclasses.asdict(a)
+    assert record == dataclasses.asdict(b)
+    assert list(record) == [f.name for f in dataclasses.fields(cls)]
+    assert all(record[name] == value for name, value in kwargs.items())
+
+
+def test_residue_reprs_and_default_sign():
+    assert repr(Dim1Residue(13, 0)) == "Dim1Residue(bits=13, zflag=0)"
+    assert repr(FreshOperand(3, 1, 0)) == (
+        "FreshOperand(xr=3, xi=1, zflag=0, sign=<ChannelSign.MINUS: '2^n-j'>)")
+    assert repr(ComplexChannelResidue(3, 1, 2, 0, ChannelSign.PLUS)) == (
+        "ComplexChannelResidue(r=3, borrow=1, i=2, carry=0, sign=<ChannelSign.PLUS: '2^n+j'>)")
+    assert FreshOperand(3, 1, 0).sign is ChannelSign.MINUS
+    assert ComplexChannelResidue(3, 1, 2, 0).sign is ChannelSign.MINUS
+    assert [f.name for f in dataclasses.fields(ComplexChannelResidue)] == [
+        "r", "borrow", "i", "carry", "sign"]
+
+
+@pytest.mark.parametrize("cls, args, kwargs", RESIDUES, ids=RESIDUE_IDS)
+def test_residue_is_immutable(cls, args, kwargs):
+    x = cls(*args)
+    for name in kwargs:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, name, 0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(x, name)
+    assert x == cls(*args)
+
+
+@pytest.mark.parametrize("cls, args, kwargs", RESIDUES, ids=RESIDUE_IDS)
+def test_residue_pickle_and_copy_round_trip(cls, args, kwargs):
+    x = cls(*args)
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x and hash(y) == hash(x) and type(y) is cls
+        assert dataclasses.asdict(y) == dataclasses.asdict(x)
+
+
+def test_residue_replace_rebuilds_and_revalidates():
+    assert dataclasses.replace(Dim1Residue(13, 0), bits=5) == Dim1Residue(5, 0)
+    assert dataclasses.replace(FreshOperand(3, 1, 0), sign=ChannelSign.PLUS) == (
+        FreshOperand(3, 1, 0, ChannelSign.PLUS))
+    assert dataclasses.replace(ComplexChannelResidue(3, 1, 2, 0), carry=1) == (
+        ComplexChannelResidue(3, 1, 2, 1))
+    with pytest.raises(ValueError, match="^zflag set requires bits == 0$"):
+        dataclasses.replace(Dim1Residue(13, 0), zflag=1)
+    with pytest.raises(ValueError, match=r"^zflag set requires xr == xi == 0$"):
+        dataclasses.replace(FreshOperand(0, 1, 0), zflag=1)
+    with pytest.raises(ValueError, match="^zflag must be a single bit$"):
+        dataclasses.replace(FreshOperand(0, 0, 1), zflag=2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Dim1Residue(0, 2), "zflag must be a single bit"),
+    (lambda: Dim1Residue(0, -1), "zflag must be a single bit"),
+    (lambda: Dim1Residue(3, 1), "zflag set requires bits == 0"),
+    (lambda: Dim1Residue(-1, 0), "bits must be non-negative"),
+    (lambda: Dim1Residue(bits=-1, zflag=0), "bits must be non-negative"),
+    (lambda: FreshOperand(0, 0, 2), "zflag must be a single bit"),
+    (lambda: FreshOperand(1, 0, 1), "zflag set requires xr == xi == 0"),
+    (lambda: FreshOperand(0, 1, 1), "zflag set requires xr == xi == 0"),
+    (lambda: FreshOperand(xr=0, xi=1, zflag=1, sign=ChannelSign.PLUS),
+     "zflag set requires xr == xi == 0"),
+])
+def test_residue_validation_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_params_compares_hashes_and_prints_as_n_p():
+    p = Params(16, 3)
+    assert (p.mask, p.wide_mask, p.modulus) == ((1 << 16) - 1, (1 << 32) - 1, (1 << 32) + 1)
+    fresh = Params(16, 3)
+    assert p == fresh and hash(p) == hash(fresh) == hash(Params(n=16, p=3))
+    assert p != Params(16) and Params(16) == Params(16, 0)
+    assert repr(p) == str(p) == "Params(n=16, p=3)"
+    assert [f.name for f in dataclasses.fields(Params)] == ["n", "p"]
+    assert dataclasses.asdict(p) == {"n": 16, "p": 3}
+    assert dataclasses.replace(p, n=5) == Params(5, 3)
+    assert pickle.loads(pickle.dumps(p)) == p and copy.deepcopy(p) == p
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.n = 5
+    with pytest.raises(ValueError, match=r"^extension exponent p must be in \[0, n\], got 3$"):
+        dataclasses.replace(p, n=2)
+
+
+def test_moduli_set_moduli_follow_channel_order():
+    mset = moduli_set_build(f_set(5, 3))
+    assert mset.moduli == (256, 31, 33, 1025)
+    assert [f.name for f in dataclasses.fields(ModuliSet)] == ["channels", "dynamic_range"]
+    assert mset == moduli_set_build(f_set(5, 3))
+
+
+def test_mul_trace_stays_asdict_able():
+    p = Params(4)
+    x = to_channel_operand(dim1_encode(200, p), ChannelSign.MINUS, p)
+    y = to_channel_operand(dim1_encode(77, p), ChannelSign.MINUS, p)
+    prod, trace = mul_trace(x, y, p)
+    assert channel_value(prod, p) == 200 * 77 % p.modulus
+    record = dataclasses.asdict(trace)
+    assert set(record) == {"partials", "real_stage", "imag_stage", "real_rows", "imag_rows"}
+    assert record["partials"] == dataclasses.asdict(trace.partials)
+    assert dataclasses.asdict(prod) == {"r": prod.r, "borrow": prod.borrow, "i": prod.i,
+                                        "carry": prod.carry, "sign": ChannelSign.MINUS}

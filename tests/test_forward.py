@@ -1,5 +1,7 @@
 """Forward converters: wide-input reduction, operand routing, per-channel residues."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from cxrns.core import (
     RangeExceeded,
     dim1_encode,
     dim1_value,
+    f_set,
     moduli_set_build,
     operand_value,
 )
@@ -153,3 +156,47 @@ def test_channel_residue_matches_plain_mod(z, data):
         GaussianPair(3), GaussianPair(5), GaussianPair(10),
     ]))
     assert channel_residue(z, desc) == z % desc.modulus
+
+
+@pytest.mark.parametrize("n", range(2, 32))
+def test_forward_std_is_the_plain_remainder_over_f_sets(n):
+    rng = random.Random(n)
+    for p in (0, n):
+        mset = moduli_set_build(f_set(n, p))
+        moduli = [c.modulus for c in mset.channels]
+        dr = mset.dynamic_range
+        for z in (0, 1, dr - 1, *(rng.randrange(dr) for _ in range(20))):
+            assert forward_std(z, mset) == [z % m for m in moduli]
+
+
+@pytest.mark.parametrize("n", [2, 5, 16, 31])
+def test_forward_range_errors_keep_their_messages(n):
+    mset = moduli_set_build(f_set(n))
+    dr = mset.dynamic_range
+    for z in (dr, -1):
+        with pytest.raises(RangeExceeded) as err:
+            forward_std(z, mset)
+        assert str(err.value) == f"input {z} outside the dynamic range [0, {dr}) of {mset}"
+    p = Params(n)
+    wide = wide_range(p)
+    assert wide == dr  # f_set(n, 0) covers exactly the 5n-bit inputs forward_22n1 takes
+    for z in (wide, -1):
+        with pytest.raises(RangeExceeded) as err:
+            forward_22n1(z, p)
+        assert str(err.value) == f"input {z} outside [0, {wide})"
+
+
+def test_forward_22n1_and_csa_mod_22n1_at_wide_widths():
+    rng = random.Random(22)
+    for n in (16, 31):
+        p = Params(n)
+        for z in (0, 1, wide_range(p) - 1, *(rng.randrange(wide_range(p)) for _ in range(50))):
+            assert dim1_value(forward_22n1(z, p)) == z % p.modulus
+            pair = csa_mod_22n1(*split_input(z, p), p)  # z2 + ~z1 + z0 + 1 == z - 1
+            assert (pair.u + pair.v) % p.modulus == (z - 1) % p.modulus
+
+
+def test_channel_residue_reduces_negative_inputs_like_python():
+    for desc in (PowerOfTwo(7), IntModulus(63), IntModulus(65), GaussianPair(3)):
+        assert channel_residue(-1, desc) == desc.modulus - 1
+        assert channel_residue(-desc.modulus - 2, desc) == desc.modulus - 2
