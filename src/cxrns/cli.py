@@ -204,9 +204,10 @@ def _cmd_verify(args) -> int:
         print(report.to_json())
     else:
         status = "ok" if report.ok else "FAIL"
+        backend = sweeps.backend_name(report.unit, report.n)
         print(f"verify {report.unit} n={report.n} {report.mode}: "
               f"cases={report.cases} failures={report.failures} "
-              f"({report.wall_time_s:.3f}s) [{sweeps.backend_name()}] {status}")
+              f"({report.wall_time_s:.3f}s) [{backend}] {status}")
         if report.counterexample:
             print(f"  first counterexample: {report.counterexample}")
     return 0 if report.ok else 1
@@ -275,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="cases in random mode")
     p_verify.add_argument("--seed", type=int, default=0, help="seed for random sweeps")
     p_verify.add_argument("--workers", type=int, default=1,
-                          help="worker processes (at most the CPU count)")
+                          help="worker threads (at most the CPU count)")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_dr = sub.add_parser("dr", parents=[common],

@@ -82,6 +82,11 @@ class Params:
         """Composite channel modulus 2^2n + 1."""
         return (1 << (2 * self.n)) + 1
 
+    @cached_property
+    def wide_range(self) -> int:
+        """Bound of the 5n-bit wide inputs: 2^n * (2^4n - 1)."""
+        return (1 << self.n) * ((1 << (4 * self.n)) - 1)
+
 
 class ChannelSign(enum.Enum):
     """Which conjugate modulus a residue lives under."""

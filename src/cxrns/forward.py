@@ -34,13 +34,13 @@ from .core import (
 
 def wide_range(params: Params) -> int:
     """Dynamic range of the plain four-modulus set: 2^n * (2^4n - 1)."""
-    return (1 << params.n) * ((1 << (4 * params.n)) - 1)
+    return params.wide_range
 
 
 def split_input(z: int, params: Params) -> tuple[int, int, int]:
     """Split a 5n-bit input into (Z2, Z1, Z0) of widths n, 2n, 2n."""
-    if not 0 <= z < wide_range(params):
-        raise RangeExceeded(f"input {z} outside [0, {wide_range(params)})")
+    if not 0 <= z < params.wide_range:
+        raise RangeExceeded(f"input {z} outside [0, {params.wide_range})")
     n2 = 2 * params.n
     wmask = params.wide_mask
     return z >> (4 * params.n), (z >> n2) & wmask, z & wmask

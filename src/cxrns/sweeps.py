@@ -22,7 +22,7 @@ import shutil
 import subprocess
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import alu, forward, reverse
@@ -52,12 +52,14 @@ def compiled_available() -> bool:
     return _C is not None
 
 
-def _use_compiled(force_pure: bool) -> bool:
-    return _C is not None and not force_pure
+def _runs_compiled(unit: str | None = None, n: int = 2, force_pure: bool = False) -> bool:
+    """Whether a sweep of `unit` (by default, of any unit) at width n runs compiled."""
+    return _C is not None and not force_pure and (unit is None or n <= UNITS[unit].max_n)
 
 
-def backend_name(force_pure: bool = False) -> str:
-    return "compiled" if _use_compiled(force_pure) else "pure"
+def backend_name(unit: str | None = None, n: int = 2, force_pure: bool = False) -> str:
+    """The backend a sweep of `unit` at width n runs on: "compiled" or "pure"."""
+    return "compiled" if _runs_compiled(unit, n, force_pure) else "pure"
 
 
 # --- unit specs -----------------------------------------------------------------
@@ -128,12 +130,12 @@ def _checkpoint(params: Params):
 
 
 def _forward(params: Params):
-    n, m = params.n, params.modulus
+    m = params.modulus
 
     def case(z):
         return dim1_value(forward.forward_22n1(z, params)), z % m
 
-    return (Field("z", (1 << n) * ((1 << (4 * n)) - 1), 0),), case
+    return (Field("z", params.wide_range, 0),), case
 
 
 def _roundtrip(params: Params):
@@ -264,37 +266,32 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
 _C = _load_kernels()
 
 
-def _compiled_supported(unit: str, n: int) -> bool:
-    return n <= UNITS[unit].max_n
-
-
 # --- chunk runners ---------------------------------------------------------------
 
-def _compiled_chunk(unit: str, n: int, p: int, fields: tuple[Field, ...], mode: str,
-                    seed: int, lo: int, hi: int) -> tuple[int, int]:
-    spec = UNITS[unit]
-    column = _U64 * len(fields)
-    out = (_I64 * 2)()
-    if getattr(_C, f"sweep_{spec.kernel}")(
-            n, (_I64 * 4)(*spec.kernel_args(n, p)), len(fields),
-            column(*(f.span for f in fields)), column(*(f.base for f in fields)),
-            column(*(f.slot or 0 for f in fields)), mode == "random", seed, lo, hi, out):
-        raise RuntimeError(f"the {spec.kernel} kernel takes a different number of "
-                           f"fields than the {unit} spec")
-    return out[0], out[1]
+def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable,
+            mode: str, seed: int, force_pure: bool) -> Callable[[int, int], tuple[int, int]]:
+    """run(lo, hi): sweep cases [lo, hi), return (failures, first failing index or -1).
 
-
-def _chunk(unit: str, n: int, p: int, fields: tuple[Field, ...], mode: str, seed: int,
-           lo: int, hi: int, force_pure: bool) -> tuple[int, int]:
-    """Run one contiguous case range; returns (failures, first_bad_index).
-
-    `fields` is the unit's spec as run_verify built it.  The pure engine
-    builds the spec again for its case function, a closure that cannot be
-    sent to a worker process.
+    A kernel call releases the GIL, so compiled runs of disjoint ranges run
+    in parallel threads.
     """
-    if _use_compiled(force_pure) and _compiled_supported(unit, n):
-        return _compiled_chunk(unit, n, p, fields, mode, seed, lo, hi)
-    return sweep(*UNITS[unit].build(Params(n, p)), mode, seed, lo, hi)
+    if not _runs_compiled(unit, params.n, force_pure):
+        return functools.partial(sweep, fields, case, mode, seed)
+    spec = UNITS[unit]
+    kernel = getattr(_C, f"sweep_{spec.kernel}")
+    column = _U64 * len(fields)
+    args = (params.n, (_I64 * 4)(*spec.kernel_args(params.n, params.p)), len(fields),
+            column(*(f.span for f in fields)), column(*(f.base for f in fields)),
+            column(*(f.slot or 0 for f in fields)), mode == "random", seed)
+
+    def run(lo: int, hi: int) -> tuple[int, int]:
+        out = (_I64 * 2)()
+        if kernel(*args, lo, hi, out):
+            raise RuntimeError(f"the {spec.kernel} kernel takes a different number of "
+                               f"fields than the {unit} spec")
+        return out[0], out[1]
+
+    return run
 
 
 def _split(total: int, workers: int) -> list[tuple[int, int]]:
@@ -316,7 +313,8 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
 
     The checkpoint unit is exhaustive-only (it enumerates nonzero operand
     pairs); every other unit supports both modes.  `workers` is capped at
-    the CPU count.
+    the CPU count; the chunks of a multi-worker sweep run on threads, which
+    split only compiled sweeps (pure chunks hold the GIL).
     """
     if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNITS)}")
@@ -331,14 +329,11 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
 
     total = case_count(fields, mode, samples, seed)
     start = time.perf_counter()
+    run = _runner(unit, params, fields, case, mode, seed, force_pure)
     chunks = _split(total, min(workers, os.cpu_count() or 1))
-    if len(chunks) <= 1:
-        results = [_chunk(unit, n, p, fields, mode, seed, lo, hi, force_pure)
-                   for lo, hi in chunks]
+    if len(chunks) == 1:
+        results = [run(*chunks[0])]
     else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [pool.submit(_chunk, unit, n, p, fields, mode, seed, lo, hi,
-                                   force_pure)
-                       for lo, hi in chunks]
-            results = [f.result() for f in futures]
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            results = list(pool.map(run, *zip(*chunks)))
     return report(unit, n, mode, seed, fields, case, total, results, start)

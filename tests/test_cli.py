@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cxrns import cli
+from cxrns import cli, sweeps
 from cxrns.core import GaussianPair, IntModulus, PowerOfTwo
 from cxrns.reporting import VerifyReport, dumps_report
 
@@ -204,6 +204,17 @@ def test_verify_workers_flag(capsys):
                            "--workers", "2")
     assert code == 0
     assert "failures=0" in out
+
+
+@pytest.mark.parametrize("unit,gate", [("forward", 12), ("roundtrip", 10)])
+def test_verify_names_the_backend_that_ran(capsys, unit, gate):
+    # Past its kernel's width gate a unit sweeps in pure Python.
+    inside = "[compiled]" if sweeps.compiled_available() else "[pure]"
+    for n, label in ((gate, inside), (gate + 1, "[pure]")):
+        code, out, _ = run_cli(capsys, "verify", unit, "--n", str(n), "--random",
+                               "--samples", "200")
+        assert code == 0
+        assert label in out
 
 
 @pytest.mark.parametrize("unit,cases", [("csa", 1024), ("checkpoint", 256)])

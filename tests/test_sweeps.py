@@ -1,9 +1,9 @@
 """Sweep drivers: backend parity, deterministic ordering, worker partitioning."""
 
 import ctypes
+import multiprocessing
 import shutil
 import sysconfig
-from concurrent.futures import Future
 
 import pytest
 
@@ -161,22 +161,27 @@ def test_unwritable_cache_means_pure_backend(tmp_path):
     assert sweeps._load_kernels(str(blocker / "__pycache__")) is None
 
 
-def test_compiled_support_gates():
+def test_compiled_support_gates(monkeypatch):
+    monkeypatch.setattr(sweeps, "_C", object())  # any loaded library
     for unit in ("csa", "normalize"):
-        assert sweeps._compiled_supported(unit, 2)
-        assert sweeps._compiled_supported(unit, 31)
-    assert sweeps._compiled_supported("forward", 12)
-    assert not sweeps._compiled_supported("forward", 13)
-    assert sweeps._compiled_supported("roundtrip", 10)
-    assert not sweeps._compiled_supported("roundtrip", 11)
-    assert sweeps._compiled_supported("multiplier", 31)
+        assert sweeps.backend_name(unit, 2) == "compiled"
+        assert sweeps.backend_name(unit, 31) == "compiled"
+    assert sweeps.backend_name("forward", 12) == "compiled"
+    assert sweeps.backend_name("forward", 13) == "pure"
+    assert sweeps.backend_name("roundtrip", 10) == "compiled"
+    assert sweeps.backend_name("roundtrip", 11) == "pure"
+    assert sweeps.backend_name("multiplier", 31) == "compiled"
+    assert sweeps.backend_name("multiplier", 2, force_pure=True) == "pure"
+    assert sweeps.backend_name() == "compiled"
+    monkeypatch.setattr(sweeps, "_C", None)
+    assert sweeps.backend_name("multiplier", 2) == sweeps.backend_name() == "pure"
 
 
 def test_every_unit_has_a_kernel():
     # A unit without a compiled kernel would leave its sweeps in pure Python.
     for unit, spec in sweeps.UNITS.items():
         assert spec.kernel is not None, unit
-        assert sweeps._compiled_supported(unit, 2), unit
+        assert spec.max_n >= 2, unit
         if sweeps.compiled_available():
             assert getattr(sweeps._C, f"sweep_{spec.kernel}").argtypes, unit
 
@@ -449,7 +454,7 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
     pools = []
 
     class InlinePool:
-        """Records the pool size and runs each chunk in this process."""
+        """Records the pool size and runs each chunk in this thread."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -460,12 +465,10 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweeps, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
     report = sweeps.run_verify("multiplier", 2, workers=64)
     assert pools == [3]
@@ -473,6 +476,29 @@ def test_workers_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: None)  # count unknown
     assert sweeps.run_verify("multiplier", 2, workers=64).ok
     assert pools == [3]
+
+
+@pytest.mark.parametrize("force_pure", BACKENDS)
+@pytest.mark.parametrize("unit,n,kw", [
+    ("multiplier", 3, {}),
+    ("adder", 5, {"mode": "random", "samples": 5000, "seed": 7}),
+    ("roundtrip", 2, {"p": 2}),
+])
+def test_workers_start_no_process(monkeypatch, force_pure, unit, n, kw):
+    # Chunks run on threads: a sweep forks or spawns nothing, so it needs no
+    # picklable case function and runs the same under every start method.
+    def refuse(self):
+        raise AssertionError("a sweep started a process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
+    reports = [sweeps.run_verify(unit, n, workers=workers, force_pure=force_pure,
+                                 **kw).to_dict()
+               for workers in (1, 2, 5)]
+    for report in reports:
+        report.pop("wall_time_s")
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["failures"] == 0
 
 
 def test_report_shape():
