@@ -35,7 +35,6 @@ from .forward import (
 )
 from .alu import (
     CompressorOutput,
-    LutBank,
     MulTrace,
     PartialProducts,
     add_fresh,

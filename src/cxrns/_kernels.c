@@ -174,7 +174,7 @@ INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
     return phi(c, f) != (x + r + ((i + carry) << c->n) + c->m - borrow) % c->m;
 }
 
-INLINE int mul_bad(const struct ctx *c, const uint64_t *v)
+INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t x = v[0], y = v[1], xr, xi, xz, yr, yi, yz, f[4], got = 0;
     split_fresh(c->n, x, &xr, &xi, &xz);
@@ -300,13 +300,13 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     out[1] = first;
 }
 
-/* sweep_<kernel>: returns -1 when the spec's field count is not the case
+/* sweep_<unit>: returns -1 when the spec's field count is not the case
  * function's.  A spec of the unit's usual shape runs a case loop specialized
  * to it; any other shape (say, a shifted base) runs the general one. */
-#define SWEEP(kernel, arity, usual)                                                 \
-    int sweep_##kernel(int n, const int64_t *args, int nf, const uint64_t *span,    \
-                       const uint64_t *base, const uint64_t *slot, int random,      \
-                       uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)       \
+#define SWEEP(unit, arity, usual)                                                   \
+    int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
+                     const uint64_t *base, const uint64_t *slot, int random,        \
+                     uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
     {                                                                               \
         struct ctx c = ctx_make(n, args);                                           \
         unsigned shape;                                                             \
@@ -314,16 +314,16 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
             return -1;                                                              \
         shape = shape_of(nf, span, base);                                           \
         if (shape == (usual))                                                       \
-            run_cases(&c, kernel##_bad, arity, usual, span, base, slot, random,     \
+            run_cases(&c, unit##_bad, arity, usual, span, base, slot, random,       \
                       seed, lo, hi, out);                                           \
         else                                                                        \
-            run_cases(&c, kernel##_bad, arity, shape, span, base, slot, random,     \
+            run_cases(&c, unit##_bad, arity, shape, span, base, slot, random,       \
                       seed, lo, hi, out);                                           \
         return 0;                                                                   \
     }
 
 SWEEP(adder, 5, 1u)          /* x spans 2^2n + 1 */
-SWEEP(mul, 2, 3u)            /* x, y span 2^2n + 1 */
+SWEEP(multiplier, 2, 3u)     /* x, y span 2^2n + 1 */
 SWEEP(checkpoint, 2, BASED)  /* x, y from 1 */
 SWEEP(forward, 1, 1u)
 SWEEP(roundtrip, 1, 1u)

@@ -7,10 +7,6 @@ an explicit field here.  Cross-coupling rule for carry-outs: a real
 carry-out weighs 2^n == -+j and lands on the imaginary part as a stored
 carry; an imaginary carry-out weighs -+j * 2^n == -1 and lands on the real
 part as a stored borrow.
-
-LUT stages are modeled as word functions with the exact table contracts;
-``LutBank`` optionally materializes the actual tables (small n) to mirror
-an FPGA realization bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +30,7 @@ def _add_fields(n: int, xr: int, xi: int, xz: int,
     return sr & mask, cpn | (yb & xz), si & mask, cn | (yc & xz)
 
 
-def add_fresh(x: FreshOperand, y: ComplexChannelResidue, params: Params,
-              luts: Optional["LutBank"] = None) -> ComplexChannelResidue:
+def add_fresh(x: FreshOperand, y: ComplexChannelResidue, params: Params) -> ComplexChannelResidue:
     """Add a fresh operand into an accumulated channel residue.
 
     Result value is (value(x) + value(y)) mod (2^2n + 1); the two n-bit
@@ -44,12 +39,6 @@ def add_fresh(x: FreshOperand, y: ComplexChannelResidue, params: Params,
     """
     if x.sign is not y.sign:
         raise ValueError("operands must live on the same conjugate channel")
-    if luts is not None:
-        sr, cn = luts.adder_sum(x.xr, y.r, (y.borrow ^ 1) & (x.zflag ^ 1))
-        si, cpn = luts.adder_sum(x.xi, y.i, y.carry & (x.zflag ^ 1))
-        return ComplexChannelResidue(
-            sr, cpn | (y.borrow & x.zflag), si, cn | (y.carry & x.zflag), x.sign
-        )
     fields = _add_fields(params.n, x.xr, x.xi, x.zflag, y.r, y.borrow, y.i, y.carry)
     return ComplexChannelResidue(*fields, x.sign)
 
@@ -75,23 +64,16 @@ class PartialProducts:
     l_ii: int
 
 
-def lut_partials(x: FreshOperand, y: FreshOperand, params: Params,
-                 luts: Optional["LutBank"] = None) -> PartialProducts:
+def lut_partials(x: FreshOperand, y: FreshOperand, params: Params) -> PartialProducts:
     """Partial products of the nonzero multiplier path (zero path bypasses)."""
     if x.zflag or y.zflag:
         raise ValueError("partial products are only defined on the nonzero path")
     n = params.n
     mask = params.mask
-    if luts is not None:
-        p1 = luts.pp_inc_inc(x.xr, y.xr)
-        p2 = luts.pp_inc_raw(x.xr, y.xi)
-        p3 = luts.pp_raw_inc(x.xi, y.xr)
-        p4 = luts.pp_raw_raw(x.xi, y.xi)
-    else:
-        p1 = (1 + x.xr) * (1 + y.xr)
-        p2 = (1 + x.xr) * y.xi
-        p3 = x.xi * (1 + y.xr)
-        p4 = x.xi * y.xi
+    p1 = (1 + x.xr) * (1 + y.xr)
+    p2 = (1 + x.xr) * y.xi
+    p3 = x.xi * (1 + y.xr)
+    p4 = x.xi * y.xi
     return PartialProducts(
         c=p1 >> (2 * n),
         h_rr=(p1 >> n) & mask,
@@ -156,25 +138,17 @@ class MulTrace:
     imag_rows: tuple[int, int]
 
 
-def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int,
-                luts: Optional["LutBank"] = None, trace: bool = False):
+def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int, trace: bool = False):
     """Multiplier dataflow on raw nonzero-path fields; returns (r, borrow, i, carry).
 
-    ``luts`` takes the partial products and final sums from materialized
-    tables.  With ``trace`` the result is ((r, borrow, i, carry), MulTrace).
+    With ``trace`` the result is ((r, borrow, i, carry), MulTrace).
     """
     mask = (1 << n) - 1
 
-    if luts is None:
-        p1 = (1 + xr) * (1 + yr)
-        p2 = (1 + xr) * yi
-        p3 = xi * (1 + yr)
-        p4 = xi * yi
-    else:
-        p1 = luts.pp_inc_inc(xr, yr)
-        p2 = luts.pp_inc_raw(xr, yi)
-        p3 = luts.pp_raw_inc(xi, yr)
-        p4 = luts.pp_raw_raw(xi, yi)
+    p1 = (1 + xr) * (1 + yr)
+    p2 = (1 + xr) * yi
+    p3 = xi * (1 + yr)
+    p4 = xi * yi
     c = p1 >> (2 * n)
     h_rr = (p1 >> n) & mask
     l_rr = p1 & mask
@@ -206,14 +180,9 @@ def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int,
 
     # Final n-bit adders; the real one carries the pending +1.  Real
     # carry-out becomes the stored carry, imaginary carry-out the borrow.
-    if luts is None:
-        sr = w + z + 1
-        si = w2 + z2
-        fields = sr & mask, si >> n, si & mask, sr >> n
-    else:
-        pr, cp = luts.final_sum(w, z, 1)
-        pi, bp = luts.final_sum(w2, z2, 0)
-        fields = pr, bp, pi, cp
+    sr = w + z + 1
+    si = w2 + z2
+    fields = sr & mask, si >> n, si & mask, sr >> n
     if not trace:
         return fields
     partials = PartialProducts(c, h_rr, l_rr, p2 >> n, p2 & mask, p3 >> n, p3 & mask,
@@ -222,8 +191,7 @@ def _mul_fields(n: int, xr: int, xi: int, yr: int, yi: int,
                             CompressorOutput(u2, vh2, cn2, vn2), (w, z), (w2, z2))
 
 
-def mul(x: FreshOperand, y: FreshOperand, params: Params,
-        luts: Optional["LutBank"] = None) -> ComplexChannelResidue:
+def mul(x: FreshOperand, y: FreshOperand, params: Params) -> ComplexChannelResidue:
     """Multiply two fresh operands on one conjugate channel.
 
     Result value is (value(x) * value(y)) mod (2^2n + 1).  Either zero flag
@@ -233,7 +201,7 @@ def mul(x: FreshOperand, y: FreshOperand, params: Params,
         raise ValueError("operands must live on the same conjugate channel")
     if x.zflag or y.zflag:
         return canonical_zero(x.sign)
-    fields = _mul_fields(params.n, x.xr, x.xi, y.xr, y.xi, luts)
+    fields = _mul_fields(params.n, x.xr, x.xi, y.xr, y.xi)
     return ComplexChannelResidue(*fields, x.sign)
 
 
@@ -259,49 +227,3 @@ def intermediate_ri(x: FreshOperand, y: FreshOperand, params: Params) -> tuple[i
     r = pp.l_rr + (pp.l_ii ^ mask) + (pp.h_ri ^ mask) + (pp.h_ir ^ mask) + (pp.c ^ 1) + 3
     i = pp.h_rr + pp.l_ri + pp.l_ir + (pp.h_ii ^ mask) - 2
     return r, i
-
-
-LUT_N_MAX = 5
-
-
-class LutBank:
-    """Materialized lookup tables mirroring the FPGA realization, n <= 5.
-
-    Word-function and table paths are value-identical; the tables just make
-    the 6-input-LUT sizing tangible and testable.
-    """
-
-    def __init__(self, params: Params):
-        if params.n > LUT_N_MAX:
-            raise ValueError(f"table materialization supported for n <= {LUT_N_MAX}")
-        n = params.n
-        self.n = n
-        size = 1 << n
-        # Adder/final-adder tables: (a, b, g) -> a + b + g, g a single bit.
-        self._sum = [
-            [[a + b + g for g in (0, 1)] for b in range(size)] for a in range(size)
-        ]
-        # Multiplier partial-product tables.
-        self._pp_ii = [[(1 + a) * (1 + b) for b in range(size)] for a in range(size)]
-        self._pp_ir = [[(1 + a) * b for b in range(size)] for a in range(size)]
-        self._pp_ri = [[a * (1 + b) for b in range(size)] for a in range(size)]
-        self._pp_rr = [[a * b for b in range(size)] for a in range(size)]
-
-    def adder_sum(self, a: int, b: int, g: int) -> tuple[int, int]:
-        """n-bit sum word and its carry-out."""
-        s = self._sum[a][b][g]
-        return s & ((1 << self.n) - 1), s >> self.n
-
-    final_sum = adder_sum
-
-    def pp_inc_inc(self, a: int, b: int) -> int:
-        return self._pp_ii[a][b]
-
-    def pp_inc_raw(self, a: int, b: int) -> int:
-        return self._pp_ir[a][b]
-
-    def pp_raw_inc(self, a: int, b: int) -> int:
-        return self._pp_ri[a][b]
-
-    def pp_raw_raw(self, a: int, b: int) -> int:
-        return self._pp_rr[a][b]

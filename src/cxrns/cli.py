@@ -181,14 +181,16 @@ def _cmd_op(args) -> int:
                "result": {"r": res.r, "borrow": res.borrow, "i": res.i,
                           "carry": res.carry},
                "value": got, "oracle": want, "match": match}
-        if args.trace and trace is not None:
-            doc["trace"] = dataclasses.asdict(trace)
+        if args.trace:  # null when a zero operand bypassed the pipeline
+            doc["trace"] = None if trace is None else dataclasses.asdict(trace)
         print(dumps_report(doc))
     else:
         print(f"{args.op} {args.x} {args.y}  (n={args.n})")
         print(f"  fields: r={res.r} borrow={res.borrow} i={res.i} carry={res.carry}")
         print(f"  value:  {got}   oracle: {want}   {'match' if match else 'MISMATCH'}")
-        if args.trace and trace is not None:
+        if args.trace and trace is None:
+            print("  no trace: a zero operand bypasses the multiplier pipeline")
+        elif args.trace:
             for line in _trace_lines(trace, params.n):
                 print("  " + line)
     return 0 if match else 1

@@ -20,21 +20,12 @@ from dataclasses import dataclass
 
 from .core import (
     ChannelSign,
-    Descriptor,
     Dim1Residue,
     FreshOperand,
-    GaussianPair,
-    IntModulus,
     ModuliSet,
     Params,
-    PowerOfTwo,
     RangeExceeded,
 )
-
-
-def wide_range(params: Params) -> int:
-    """Dynamic range of the plain four-modulus set: 2^n * (2^4n - 1)."""
-    return params.wide_range
 
 
 def split_input(z: int, params: Params) -> tuple[int, int, int]:
@@ -88,16 +79,6 @@ def forward_22n1(z: int, params: Params) -> Dim1Residue:
 def to_channel_operand(r: Dim1Residue, sign: ChannelSign, params: Params) -> FreshOperand:
     """Route a flagged residue into (xr, xi, zflag); no arithmetic involved."""
     return FreshOperand(r.bits & params.mask, r.bits >> params.n, r.zflag, sign)
-
-
-def channel_residue(z: int, desc: Descriptor) -> int:
-    """Residue of z on one channel descriptor: the plain remainder z mod m.
-
-    A Gaussian pair gives its joint integer residue in [0, 2^2n].
-    """
-    if not isinstance(desc, (PowerOfTwo, IntModulus, GaussianPair)):
-        raise TypeError(f"unknown descriptor {desc!r}")
-    return z % desc.modulus
 
 
 def forward_std(z: int, mset: ModuliSet) -> list[int]:

@@ -125,15 +125,16 @@ def case_count(fields: tuple[Field, ...], mode: str, samples: int, seed: int) ->
     """Number of cases a sweep over `fields` runs.
 
     Raises ValueError for a mode, seed or sample count that names no case
-    stream, and for an exhaustive space too large to index.
+    stream, and for a sweep too large to index: the kernels take case
+    indices as 64-bit words and return the first failing one as an int64.
     """
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
     if not 0 <= seed <= _MASK64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if mode == "random":
-        if samples < 1:  # a sweep of no cases would pass vacuously
-            raise ValueError(f"random sweeps need samples >= 1, got {samples}")
+        if not 1 <= samples <= sys.maxsize:  # none, or a wrapped count, passes vacuously
+            raise ValueError(f"random sweeps need samples in [1, 2^63), got {samples}")
         return samples
     total = math.prod(f.span for f in fields)
     if total > sys.maxsize:

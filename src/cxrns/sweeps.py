@@ -70,14 +70,13 @@ class Unit(NamedTuple):
     ``build(params)`` returns the unit's fields, most significant first,
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
-    ``kernel`` names the ``sweep_<kernel>`` export of ``_kernels.c``, which
-    runs the same fields through its own case function at widths up to
-    ``max_n``; ``kernel_args(n, p)`` gives the kernel's extra arguments.
+    The ``sweep_<unit>`` export of ``_kernels.c`` runs the same fields
+    through its own case function at widths up to ``max_n``;
+    ``kernel_args(n, p)`` gives the kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
 
     build: Callable
-    kernel: str
     max_n: int = 31
     kernel_args: Callable = lambda n, p: ()
     reads_p: bool = False
@@ -189,15 +188,14 @@ def _normalize(params: Params):
 
 
 UNITS = {
-    "adder": Unit(_adder, "adder"),
-    "multiplier": Unit(_multiplier, "mul"),
-    "checkpoint": Unit(_checkpoint, "checkpoint"),
-    "forward": Unit(_forward, "forward", max_n=12),  # 5n-bit inputs in 63 bits
-    "roundtrip": Unit(_roundtrip, "roundtrip", max_n=10, kernel_args=_roundtrip_kernel_args,
-                      reads_p=True),
-    "compressor": Unit(_compressor, "compressor"),
-    "csa": Unit(_csa, "csa"),
-    "normalize": Unit(_normalize, "normalize"),
+    "adder": Unit(_adder),
+    "multiplier": Unit(_multiplier),
+    "checkpoint": Unit(_checkpoint),
+    "forward": Unit(_forward, max_n=12),  # 5n-bit inputs in 63 bits
+    "roundtrip": Unit(_roundtrip, max_n=10, kernel_args=_roundtrip_kernel_args, reads_p=True),
+    "compressor": Unit(_compressor),
+    "csa": Unit(_csa),
+    "normalize": Unit(_normalize),
 }
 
 
@@ -211,9 +209,9 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "forward_value": (_U64, (_INT, _U64)),
     "add_fields": (None, (_INT, *[_U64] * 7, _P_U64)),
     "mul_fields": (None, (_INT, *[_U64] * 4, _P_U64)),
-    **{f"sweep_{spec.kernel}": (_INT, (_INT, _P_I64, _INT, _P_U64, _P_U64, _P_U64,
-                                       _INT, _U64, _U64, _U64, _P_I64))
-       for spec in UNITS.values()},
+    **{f"sweep_{unit}": (_INT, (_INT, _P_I64, _INT, _P_U64, _P_U64, _P_U64,
+                                _INT, _U64, _U64, _U64, _P_I64))
+       for unit in UNITS},
 }
 
 
@@ -278,7 +276,7 @@ def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable
     if not _runs_compiled(unit, params.n, force_pure):
         return functools.partial(sweep, fields, case, mode, seed)
     spec = UNITS[unit]
-    kernel = getattr(_C, f"sweep_{spec.kernel}")
+    kernel = getattr(_C, f"sweep_{unit}")
     column = _U64 * len(fields)
     args = (params.n, (_I64 * 4)(*spec.kernel_args(params.n, params.p)), len(fields),
             column(*(f.span for f in fields)), column(*(f.base for f in fields)),
@@ -287,7 +285,7 @@ def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable
     def run(lo: int, hi: int) -> tuple[int, int]:
         out = (_I64 * 2)()
         if kernel(*args, lo, hi, out):
-            raise RuntimeError(f"the {spec.kernel} kernel takes a different number of "
+            raise RuntimeError(f"the {unit} kernel takes a different number of "
                                f"fields than the {unit} spec")
         return out[0], out[1]
 

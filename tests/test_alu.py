@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxrns.alu import (
-    LutBank,
     add_fresh,
     compress42,
     intermediate_ri,
@@ -259,24 +258,3 @@ def test_intermediate_ri_exhaustive_n2():
         for y_val in range(1, 17):
             r, i = intermediate_ri(fresh(x_val, p), fresh(y_val, p), p)
             assert (r + (i << 2)) % 17 == (x_val * y_val) % 17
-
-
-# --- materialized tables ----------------------------------------------------------
-
-def test_lut_bank_matches_word_path():
-    for n in (2, 3):
-        p = Params(n)
-        bank = LutBank(p)
-        operands = [fresh(v, p) for v in range(p.modulus)]
-        for x_val, x in enumerate(operands):
-            for y_val, y in enumerate(operands):
-                assert mul(x, y, p, luts=bank) == mul(x, y, p)
-        for x in operands[:9]:
-            for y in all_states(n):
-                assert add_fresh(x, y, p, luts=bank) == add_fresh(x, y, p)
-
-
-def test_lut_bank_width_cap():
-    LutBank(Params(5))
-    with pytest.raises(ValueError):
-        LutBank(Params(6))

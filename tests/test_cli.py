@@ -142,6 +142,17 @@ def test_op_trace_json_document_is_pinned(capsys):
     assert out == dumps_report(want) + "\n"  # key order and layout included
 
 
+def test_op_trace_on_the_zero_path_says_there_is_none(capsys):
+    # A zero flag gates the product to canonical zero before any stage runs.
+    code, out, _ = run_cli(capsys, "op", "mul", "0", "5", "--n", "2", "--trace")
+    assert code == 0
+    assert out.splitlines()[-1] == "  no trace: a zero operand bypasses the multiplier pipeline"
+    code, out, _ = run_cli(capsys, "op", "mul", "0", "5", "--n", "2", "--trace", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["trace"] is None and doc["value"] == doc["oracle"] == 0
+
+
 def test_op_trace_rejected_for_add(capsys):
     for extra in ([], ["--json"]):
         code, out, err = run_cli(capsys, "op", "add", "1", "2", "--n", "2", "--trace", *extra)
@@ -246,6 +257,7 @@ def test_options_belong_to_their_subcommand(capsys, argv):
     (["--seed", "-1"], "seed"),
     (["--seed", str(1 << 64)], "seed"),
     (["--workers", "0"], "workers"),
+    (["--samples", str((1 << 64) + 5)], "samples"),  # wraps to 5 in a uint64
 ])
 def test_verify_rejects_vacuous_or_out_of_range_sweeps(capsys, flags, message):
     code, out, err = run_cli(capsys, "verify", "adder", "--n", "2", "--random", "--json",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cxrns
 from cxrns.core import (
     ChannelSign,
     ComplexChannelResidue,
@@ -307,3 +308,20 @@ def test_mul_trace_stays_asdict_able():
     assert record["partials"] == dataclasses.asdict(trace.partials)
     assert dataclasses.asdict(prod) == {"r": prod.r, "borrow": prod.borrow, "i": prod.i,
                                         "carry": prod.carry, "sign": ChannelSign.MINUS}
+
+
+def test_public_api_is_pinned():
+    # Adding or removing a public name must show up as a reviewed diff here.
+    assert cxrns.__all__ == [
+        "ChannelSign", "ComplexChannelResidue", "CompressorOutput", "CoprimalityViolation",
+        "CsaPair", "Dim1Residue", "DrReport", "FreshOperand", "GaussianInt", "GaussianPair",
+        "IntModulus", "ModuliSet", "MulTrace", "NcrtPlan", "NotInvertible", "Params",
+        "PartialProducts", "PowerOfTwo", "RangeExceeded", "RnsError", "VerifyReport",
+        "add_fresh", "alu", "canonical_zero", "channel_to_dim1", "channel_value",
+        "check_unit", "compress42", "core", "csa_mod_22n1", "dim1_encode", "dim1_value",
+        "f_set", "forward", "forward_22n1", "forward_std", "gaussian_mod", "gaussian_value",
+        "intermediate_ri", "lut_partials", "mod_inverse", "moduli_set_build", "mul",
+        "mul_trace", "ncrt_plan", "ncrt_reverse", "normalize", "operand_value", "oracle",
+        "ref_mod", "reporting", "residue_from_value", "reverse", "split_input",
+        "to_channel_operand",
+    ]

@@ -21,13 +21,11 @@ from cxrns.core import (
     operand_value,
 )
 from cxrns.forward import (
-    channel_residue,
     csa_mod_22n1,
     forward_22n1,
     forward_std,
     split_input,
     to_channel_operand,
-    wide_range,
 )
 from cxrns.oracle import gaussian_mod, gaussian_value
 
@@ -44,7 +42,7 @@ def test_split_input_examples():
 def test_split_input_reassembles():
     for n in (2, 3):
         p = Params(n)
-        for z in range(0, wide_range(p), 37):
+        for z in range(0, p.wide_range, 37):
             z2, z1, z0 = split_input(z, p)
             assert z == (z2 << (4 * n)) + (z1 << (2 * n)) + z0
             assert z2 < (1 << n) and z1 <= p.wide_mask and z0 <= p.wide_mask
@@ -52,7 +50,7 @@ def test_split_input_reassembles():
 
 def test_split_input_rejects_out_of_range():
     with pytest.raises(RangeExceeded):
-        split_input(wide_range(P2), P2)
+        split_input(P2.wide_range, P2)
     with pytest.raises(RangeExceeded):
         split_input(-1, P2)
 
@@ -98,7 +96,7 @@ def test_forward_22n1_examples():
 def test_forward_22n1_exhaustive_small_widths():
     for n in (2, 3):
         p = Params(n)
-        for z in range(wide_range(p)):
+        for z in range(p.wide_range):
             assert dim1_value(forward_22n1(z, p)) == z % p.modulus
 
 
@@ -146,18 +144,6 @@ def test_forward_std_range_check():
         forward_std(-1, mset)
 
 
-@settings(max_examples=400)
-@given(st.integers(min_value=0, max_value=1 << 128), st.data())
-def test_channel_residue_matches_plain_mod(z, data):
-    desc = data.draw(st.sampled_from([
-        PowerOfTwo(7), PowerOfTwo(12),
-        IntModulus(63), IntModulus(65), IntModulus(29), IntModulus(35),
-        IntModulus(511), IntModulus(513),
-        GaussianPair(3), GaussianPair(5), GaussianPair(10),
-    ]))
-    assert channel_residue(z, desc) == z % desc.modulus
-
-
 @pytest.mark.parametrize("n", range(2, 32))
 def test_forward_std_is_the_plain_remainder_over_f_sets(n):
     rng = random.Random(n)
@@ -178,7 +164,7 @@ def test_forward_range_errors_keep_their_messages(n):
             forward_std(z, mset)
         assert str(err.value) == f"input {z} outside the dynamic range [0, {dr}) of {mset}"
     p = Params(n)
-    wide = wide_range(p)
+    wide = p.wide_range
     assert wide == dr  # f_set(n, 0) covers exactly the 5n-bit inputs forward_22n1 takes
     for z in (wide, -1):
         with pytest.raises(RangeExceeded) as err:
@@ -190,13 +176,7 @@ def test_forward_22n1_and_csa_mod_22n1_at_wide_widths():
     rng = random.Random(22)
     for n in (16, 31):
         p = Params(n)
-        for z in (0, 1, wide_range(p) - 1, *(rng.randrange(wide_range(p)) for _ in range(50))):
+        for z in (0, 1, p.wide_range - 1, *(rng.randrange(p.wide_range) for _ in range(50))):
             assert dim1_value(forward_22n1(z, p)) == z % p.modulus
             pair = csa_mod_22n1(*split_input(z, p), p)  # z2 + ~z1 + z0 + 1 == z - 1
             assert (pair.u + pair.v) % p.modulus == (z - 1) % p.modulus
-
-
-def test_channel_residue_reduces_negative_inputs_like_python():
-    for desc in (PowerOfTwo(7), IntModulus(63), IntModulus(65), GaussianPair(3)):
-        assert channel_residue(-1, desc) == desc.modulus - 1
-        assert channel_residue(-desc.modulus - 2, desc) == desc.modulus - 2

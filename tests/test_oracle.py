@@ -112,7 +112,7 @@ def test_check_unit_rejects_unknown_unit():
 
 
 def test_check_unit_rejects_what_run_verify_rejects():
-    for samples in (0, -5):  # a sweep of no cases would pass with nothing checked
+    for samples in (0, -5, 1 << 63, (1 << 64) + 5):  # none, or a count an int64 index wraps
         with pytest.raises(ValueError, match="samples"):
             check_unit("multiplier", mul, Params(2), mode="random", samples=samples)
     for seed in (-1, 1 << 64):

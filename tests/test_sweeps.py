@@ -179,11 +179,13 @@ def test_compiled_support_gates(monkeypatch):
 
 def test_every_unit_has_a_kernel():
     # A unit without a compiled kernel would leave its sweeps in pure Python.
+    with open(sweeps._KERNELS_C) as f:
+        source = f.read()
     for unit, spec in sweeps.UNITS.items():
-        assert spec.kernel is not None, unit
+        assert f"SWEEP({unit}," in source, unit
         assert spec.max_n >= 2, unit
         if sweeps.compiled_available():
-            assert getattr(sweeps._C, f"sweep_{spec.kernel}").argtypes, unit
+            assert getattr(sweeps._C, f"sweep_{unit}").argtypes, unit
 
 
 @needs_compiled
@@ -428,9 +430,12 @@ def test_run_verify_validates_arguments():
         sweeps.run_verify("checkpoint", 2, mode="random")
     with pytest.raises(ValueError):
         sweeps.run_verify("adder", 1)
-    for samples in (0, -5):  # a sweep of no cases would pass vacuously
-        with pytest.raises(ValueError, match="samples"):
-            sweeps.run_verify("adder", 2, mode="random", samples=samples)
+    # A sweep of no cases, or of a count the kernels' int64 index wraps, would pass vacuously.
+    for samples in (0, -5, 1 << 63, (1 << 64) + 5):
+        for force_pure in (False, True):
+            with pytest.raises(ValueError, match="samples"):
+                sweeps.run_verify("adder", 2, mode="random", samples=samples,
+                                  force_pure=force_pure)
     for seed in (-1, 1 << 64):
         with pytest.raises(ValueError, match="seed"):
             sweeps.run_verify("adder", 2, mode="random", samples=10, seed=seed)
