@@ -24,7 +24,7 @@ from .core import (
     operand_value,
     residue_from_value,
 )
-from .oracle import check_unit, gaussian_mod, gaussian_value, ref_mod
+from .oracle import gaussian_mod, gaussian_value
 from .forward import (
     CsaPair,
     csa_mod_22n1,

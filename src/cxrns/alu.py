@@ -68,23 +68,7 @@ def lut_partials(x: FreshOperand, y: FreshOperand, params: Params) -> PartialPro
     """Partial products of the nonzero multiplier path (zero path bypasses)."""
     if x.zflag or y.zflag:
         raise ValueError("partial products are only defined on the nonzero path")
-    n = params.n
-    mask = params.mask
-    p1 = (1 + x.xr) * (1 + y.xr)
-    p2 = (1 + x.xr) * y.xi
-    p3 = x.xi * (1 + y.xr)
-    p4 = x.xi * y.xi
-    return PartialProducts(
-        c=p1 >> (2 * n),
-        h_rr=(p1 >> n) & mask,
-        l_rr=p1 & mask,
-        h_ri=p2 >> n,
-        l_ri=p2 & mask,
-        h_ir=p3 >> n,
-        l_ir=p3 & mask,
-        h_ii=p4 >> n,
-        l_ii=p4 & mask,
-    )
+    return _mul_fields(params.n, x.xr, x.xi, y.xr, y.xi, trace=True)[1].partials
 
 
 @dataclass(frozen=True)

@@ -47,21 +47,19 @@ def parse_set(text: str) -> tuple[Descriptor, ...]:
     """Parse the channel grammar into descriptors (order preserved)."""
     text = text.strip()
     if text.startswith("f:"):
-        n = None
-        p = 0
+        values = {}
         for piece in text[2:].split(","):
             key, _, value = piece.partition("=")
             key = key.strip()
-            if key == "n":
-                n = int(value)
-            elif key == "p":
-                p = int(value)
-            else:
+            if key not in ("n", "p"):
                 raise SetSyntaxError(f"unknown f-set parameter {key!r} in {text!r}")
-        if n is None:
+            if key in values:
+                raise SetSyntaxError(f"f-set parameter {key!r} given twice in {text!r}")
+            values[key] = int(value)
+        if "n" not in values:
             raise SetSyntaxError(f"f-set needs n=<width>: {text!r}")
         try:
-            return f_set(n, p)
+            return f_set(values["n"], values.get("p", 0))
         except ValueError as exc:
             raise SetSyntaxError(str(exc)) from exc
     out: list[Descriptor] = []

@@ -2,8 +2,8 @@
 
 Everything here is slow, obvious, and arbitrary-precision.  The module is
 deliberately kept import-independent of the dataflow modules: a unit under
-test is always passed *into* check_unit, never imported, so the checking
-path cannot inherit a dataflow bug.
+test reaches it only inside the case function a sweep is handed, so the
+checking path cannot inherit a dataflow bug.
 
 A sweep is a tuple of input ``Field``s and a case function returning
 (got, want).  Case ordering is part of the contract: exhaustive sweeps walk
@@ -22,24 +22,8 @@ from itertools import compress, count, islice, product, repeat, starmap
 from operator import add, mod, ne
 from typing import Callable, NamedTuple, Optional
 
-from .core import (
-    ChannelSign,
-    ComplexChannelResidue,
-    FreshOperand,
-    GaussianInt,
-    Params,
-    channel_value,
-)
+from .core import ChannelSign, GaussianInt
 from .reporting import VerifyReport
-
-
-def ref_mod(z: int, m: int) -> int:
-    """Remainder of integer division, arbitrary precision."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if z < 0:
-        raise ValueError(f"operand must be non-negative, got {z}")
-    return z % m
 
 
 def _round_nearest_ties_to_zero(a: int, b: int) -> int:
@@ -210,82 +194,3 @@ def report(unit: str, n: int, mode: str, seed: int, fields: tuple[Field, ...],
         seed=seed if mode == "random" else None,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-# --- the adder and multiplier case spaces -------------------------------------------
-
-def fresh_fields(n: int, v: int) -> tuple[int, int, int]:
-    """(xr, xi, zflag) of the fresh operand of value v: pure field routing."""
-    if v == 0:
-        return 0, 0, 1
-    bits = v - 1
-    return bits & ((1 << n) - 1), bits >> n, 0
-
-
-def fresh_operand(n: int, v: int) -> FreshOperand:
-    """The fresh operand of value v on the 2^n - j channel."""
-    return FreshOperand(*fresh_fields(n, v), ChannelSign.MINUS)
-
-
-def adder_fields(params: Params) -> tuple[Field, ...]:
-    """A fresh operand x plus every accumulator state (i, r, carry, borrow)."""
-    size = 1 << params.n
-    return (Field("x", params.modulus, 0), Field("i", size, 2), Field("r", size, 1),
-            Field("carry", 2, 4), Field("borrow", 2, 3))
-
-
-def multiplier_fields(params: Params) -> tuple[Field, ...]:
-    """Two fresh operands."""
-    return Field("x", params.modulus, 0), Field("y", params.modulus, 1)
-
-
-def _adder_check(op: Callable, params: Params):
-    n, m = params.n, params.modulus
-
-    def case(x, i, r, carry, borrow):
-        y = ComplexChannelResidue(r, borrow, i, carry)
-        return (channel_value(op(fresh_operand(n, x), y, params), params),
-                ref_mod(x + channel_value(y, params), m))
-
-    return adder_fields(params), case
-
-
-def _multiplier_check(op: Callable, params: Params):
-    n, m = params.n, params.modulus
-
-    def case(x, y):
-        return (channel_value(op(fresh_operand(n, x), fresh_operand(n, y), params), params),
-                ref_mod(x * y, m))
-
-    return multiplier_fields(params), case
-
-
-_CHECKS = {"adder": _adder_check, "multiplier": _multiplier_check}
-
-
-def check_unit(
-    unit: str,
-    op: Callable,
-    params: Params,
-    *,
-    mode: str = "exhaustive",
-    samples: int = 10_000,
-    seed: int = 0,
-) -> VerifyReport:
-    """Sweep a channel operation and compare values against plain modular math.
-
-    unit is "adder" or "multiplier"; op is called with the same signature as
-    the corresponding dataflow operation.  The cases are those of
-    ``sweeps.run_verify`` for the same unit: exhaustive mode covers every
-    fresh operand (and, for the adder, every accumulator state) in flat-index
-    order; random mode draws `samples` cases from the splitmix64 stream of
-    `seed`.  The first counterexample is reported verbatim and sweeping
-    never raises on a mismatch.
-    """
-    if unit not in _CHECKS:
-        raise ValueError(f"unknown unit {unit!r}")
-    fields, case = _CHECKS[unit](op, params)
-    cases = case_count(fields, mode, samples, seed)
-    start = time.perf_counter()
-    return report(unit, params.n, mode, seed, fields, case, cases,
-                  [sweep(fields, case, mode, seed, 0, cases)], start)

@@ -28,23 +28,16 @@ from typing import Callable, NamedTuple
 from . import alu, forward, reverse
 from .core import (
     ComplexChannelResidue,
+    FreshOperand,
     ModuliSet,
     Params,
+    channel_value,
     dim1_value,
     f_set,
     moduli_set_build,
     operand_value,
 )
-from .oracle import (
-    Field,
-    adder_fields,
-    case_count,
-    fresh_fields,
-    fresh_operand,
-    multiplier_fields,
-    report,
-    sweep,
-)
+from .oracle import Field, case_count, report, sweep
 from .reporting import VerifyReport
 
 
@@ -89,31 +82,41 @@ def _roundtrip_plan(n: int, p: int) -> tuple[ModuliSet, reverse.NcrtPlan]:
     return mset, reverse.ncrt_plan(mset)
 
 
+def _operand(n: int, v: int) -> FreshOperand:
+    """The fresh operand of value v on the 2^n - j channel.
+
+    Pure field routing, unvalidated: a planted value past 2^2n still
+    reaches the op under test and shows up as a mismatch.
+    """
+    if v == 0:
+        return FreshOperand(0, 0, 1)
+    v -= 1
+    return FreshOperand(v & ((1 << n) - 1), v >> n, 0)
+
+
 def _adder(params: Params):
     n, m = params.n, params.modulus
-    add_fields = alu._add_fields
+    size = 1 << n
+    add = alu.add_fresh
 
     def case(x, i, r, carry, borrow):
-        sr, sb, si, sc = add_fields(n, *fresh_fields(n, x), r, borrow, i, carry)
-        return (sr - sb + ((si + sc) << n)) % m, (x + r - borrow + ((i + carry) << n)) % m
+        y = ComplexChannelResidue(r, borrow, i, carry)
+        return (channel_value(add(_operand(n, x), y, params), params),
+                (x + r - borrow + ((i + carry) << n)) % m)
 
-    return adder_fields(params), case
+    # A fresh operand x plus every accumulator state (i, r, carry, borrow).
+    return (Field("x", m, 0), Field("i", size, 2), Field("r", size, 1),
+            Field("carry", 2, 4), Field("borrow", 2, 3)), case
 
 
 def _multiplier(params: Params):
-    n, m, mask = params.n, params.modulus, params.mask
-    mul_fields = alu._mul_fields
+    n, m = params.n, params.modulus
+    mul = alu.mul
 
     def case(x, y):
-        want = x * y % m
-        if not (x and y):  # a zero flag gates the product to canonical zero
-            return 0, want
-        x -= 1
-        y -= 1
-        r, b, i, c = mul_fields(n, x & mask, x >> n, y & mask, y >> n)
-        return (r - b + ((i + c) << n)) % m, want
+        return channel_value(mul(_operand(n, x), _operand(n, y), params), params), x * y % m
 
-    return multiplier_fields(params), case
+    return (Field("x", m, 0), Field("y", m, 1)), case
 
 
 def _checkpoint(params: Params):
@@ -121,7 +124,7 @@ def _checkpoint(params: Params):
     top = m - 1
 
     def case(x, y):
-        r_sum, i_sum = alu.intermediate_ri(fresh_operand(n, x), fresh_operand(n, y), params)
+        r_sum, i_sum = alu.intermediate_ri(_operand(n, x), _operand(n, y), params)
         return (r_sum + (i_sum << n)) % m, x * y % m
 
     # Nonzero operand pairs only.
@@ -153,11 +156,11 @@ def _roundtrip_kernel_args(n: int, p: int) -> tuple[int, ...]:
 def _compressor(params: Params):
     n = params.n
     size = 1 << n
-    compress = alu._compress42
+    compress42 = alu.compress42
 
     def case(a, b, c, d, t_in, v_in):
-        u, v, c_out, v_out = compress(n, a, b, c, d, t_in, v_in)
-        return u + v + ((c_out + v_out) << n), a + b + c + d + t_in + v_in
+        out = compress42(a, b, c, d, (t_in, v_in), params)
+        return out.u + out.v + ((out.c_out + out.v_out) << n), a + b + c + d + t_in + v_in
 
     return (Field("a", size, 0), Field("b", size, 1), Field("c", size, 2),
             Field("d", size, 3), Field("t_in", 2, 4), Field("v_in", 2, 5)), case
@@ -221,8 +224,9 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
     The library is named by the source's hash and written under a temporary
     name first, so concurrent first imports are safe.  A build removes the
     libraries of earlier sources from `cache`.  Returns None (pure
-    Python) without a C compiler, when the build fails or when the cache
-    cannot be written or loaded.
+    Python) without a C compiler, when the build fails, when the library
+    lacks an export of ``_SIGNATURES`` or when the cache cannot be written
+    or loaded.
     """
     with open(_KERNELS_C, "rb") as f:
         lib = os.path.join(cache, f"_kernels.{hashlib.sha256(f.read()).hexdigest()}.so")
@@ -256,8 +260,14 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
         if os.path.exists(tmp):
             os.unlink(tmp)
     for name, (restype, argtypes) in _SIGNATURES.items():
-        getattr(kernels, name).restype = restype
-        getattr(kernels, name).argtypes = argtypes
+        try:
+            export = getattr(kernels, name)
+        except AttributeError:
+            warnings.warn(f"{lib} has no export {name}, sweeps run in pure Python",
+                          RuntimeWarning)
+            return None
+        export.restype = restype
+        export.argtypes = argtypes
     return kernels
 
 

@@ -29,7 +29,8 @@ def test_parse_set_grammar():
 
 
 def test_parse_set_errors():
-    for bad in ("", "12", "gx", "f:p=1", "f:n=1", "2^0", "15,,16"):
+    for bad in ("", "12", "gx", "f:p=1", "f:n=1", "2^0", "15,,16", "f:n=2,n=3",
+                "f:n=5,p=7,p=0"):
         with pytest.raises(ValueError):
             cli.parse_set(bad)
 

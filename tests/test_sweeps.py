@@ -7,9 +7,8 @@ import sysconfig
 
 import pytest
 
-from cxrns import oracle, sweeps
-from cxrns.alu import add_fresh, mul
-from cxrns.core import Params, operand_value
+from cxrns import alu, oracle, sweeps
+from cxrns.core import ComplexChannelResidue, Params, operand_value
 from cxrns.reporting import VerifyReport
 
 needs_compiled = pytest.mark.skipif(
@@ -153,6 +152,20 @@ def test_failed_compile_warns_with_compiler_output(monkeypatch, tmp_path):
     with pytest.warns(RuntimeWarning, match="missing_name"):
         assert sweeps._load_kernels(str(tmp_path / "__pycache__")) is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
+
+
+def test_missing_export_warns_and_means_pure_backend(monkeypatch, tmp_path):
+    if not sweeps.compiled_available():
+        pytest.skip("no C compiler")
+    with open(sweeps._KERNELS_C) as f:
+        lines = f.readlines()
+    trimmed = tmp_path / "_kernels.c"
+    trimmed.write_text("".join(line for line in lines
+                               if not line.startswith("SWEEP(normalize,")))
+    assert len(trimmed.read_text().splitlines()) == len(lines) - 1
+    monkeypatch.setattr(sweeps, "_KERNELS_C", str(trimmed))
+    with pytest.warns(RuntimeWarning, match="sweep_normalize"):
+        assert sweeps._load_kernels(str(tmp_path / "__pycache__")) is None
 
 
 def test_unwritable_cache_means_pure_backend(tmp_path):
@@ -392,23 +405,48 @@ def test_random_decode_is_pinned(unit, n, p):
     assert [tuple(oracle._case_at(fields, "random", 7, idx)) for idx in range(3)] == want
 
 
-_RECORDED = {  # unit: the real op, and the case its operands encode, in spec order
-    "adder": (add_fresh, lambda x, y, p: (operand_value(x, p), y.i, y.r, y.carry, y.borrow)),
-    "multiplier": (mul, lambda x, y, p: (operand_value(x, p), operand_value(y, p))),
+_RECORDED = {  # unit: the public op its pure sweep calls, and the case its operands encode
+    "adder": ("add_fresh", lambda x, y, p: (operand_value(x, p), y.i, y.r, y.carry, y.borrow)),
+    "multiplier": ("mul", lambda x, y, p: (operand_value(x, p), operand_value(y, p))),
 }
 
 
 @pytest.mark.parametrize("unit", list(_RECORDED))
-def test_check_unit_draws_the_run_verify_cases(unit):
-    real, encoded = _RECORDED[unit]
+def test_pure_sweep_calls_the_public_op(monkeypatch, unit):
+    name, encoded = _RECORDED[unit]
+    real = getattr(alu, name)
     seen = []
 
     def op(x, y, params):
         seen.append(encoded(x, y, params))
         return real(x, y, params)
 
-    assert oracle.check_unit(unit, op, Params(5), mode="random", samples=3, seed=7).ok
+    monkeypatch.setattr(alu, name, op)
+    assert sweeps.run_verify(unit, 5, mode="random", samples=3, seed=7, force_pure=True).ok
     assert seen == GOLDEN_RANDOM[unit, 5, 0]
+
+
+def _r_plus_one(real):
+    """`real` with one added to the r field of the residue it returns."""
+    def faulty(*args):
+        res = real(*args)
+        return ComplexChannelResidue(res.r + 1, res.borrow, res.i, res.carry, res.sign)
+
+    return faulty
+
+
+@pytest.mark.parametrize("unit,name,failures,first", [
+    # Every sum is off by one; the first case is the all-zero one.
+    pytest.param("adder", "add_fresh", 17 * 64,
+                 {"x": 0, "i": 0, "r": 0, "carry": 0, "borrow": 0}, id="add_fresh"),
+    # Only the zero-flag gate is wrong: the 17 + 17 - 1 pairs with a zero operand.
+    pytest.param("multiplier", "canonical_zero", 33, {"x": 0, "y": 0}, id="canonical_zero"),
+])
+def test_pure_sweep_reports_a_fault_in_the_public_op(monkeypatch, unit, name, failures, first):
+    monkeypatch.setattr(alu, name, _r_plus_one(getattr(alu, name)))
+    report = sweeps.run_verify(unit, 2, force_pure=True)
+    assert report.failures == failures
+    assert report.counterexample == {**first, "got": 1, "want": 0}
 
 
 @pytest.mark.parametrize("unit", list(GOLDEN_EXHAUSTIVE))
