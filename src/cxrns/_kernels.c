@@ -28,7 +28,7 @@ typedef unsigned __int128 u128;
 struct ctx {
     int n, p;
     uint64_t m, mask;              /* 2^2n + 1, 2^n - 1 */
-    uint64_t m2, m3, tail, wide;   /* 2^n - 1, 2^n + 1, m2*m3*m, 2^n (2^4n - 1) if n < 16 */
+    uint64_t m2, m3, tail;         /* 2^n - 1, 2^n + 1, m2*m3*m */
     int64_t mu1, mu2, mu3;         /* New-CRT coefficients */
 };
 
@@ -42,7 +42,6 @@ static struct ctx ctx_make(int n, const int64_t *args)
     c.m2 = c.mask;
     c.m3 = c.mask + 2;
     c.tail = c.m2 * c.m3 * c.m;
-    c.wide = 4 * n < 64 ? ((uint64_t)1 << n) * (((uint64_t)1 << (4 * n)) - 1) : 0;
     c.mu1 = args[1];
     c.mu2 = args[2];
     c.mu3 = args[3];
@@ -153,16 +152,6 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
     return (t & wmask) + 1 - (t >> (2 * n));  /* flagged: bits + (1 - zflag) */
 }
 
-/* z mod 2^2n + 1 by alternating 2n-bit digits, for z past forward_dim1's range. */
-INLINE uint64_t fold_22n1(int n, uint64_t m, uint64_t z)
-{
-    int64_t acc = 0, s = 1;
-    for (; z; z >>= 2 * n, s = -s)
-        acc += s * (int64_t)(z & (((uint64_t)1 << (2 * n)) - 1));
-    acc %= (int64_t)m;
-    return (uint64_t)(acc < 0 ? acc + (int64_t)m : acc);
-}
-
 /* --- case functions: field values in spec order, nonzero on a mismatch ----- */
 
 INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
@@ -212,7 +201,7 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t z = v[0], mask1 = ((uint64_t)1 << (c->n + c->p)) - 1;
     int64_t x1 = (int64_t)(z & mask1), x2 = (int64_t)(z % c->m2), x3 = (int64_t)(z % c->m3);
-    int64_t x4 = (int64_t)(z < c->wide ? forward_dim1(c->n, c->m, z) : fold_22n1(c->n, c->m, z));
+    int64_t x4 = (int64_t)(z % c->m);
     int64_t acc = (c->mu1 * (x2 - x1) + c->mu2 * (x3 - x2) + c->mu3 * (x4 - x3))
                   % (int64_t)c->tail;
     if (acc < 0)

@@ -101,13 +101,12 @@ def compress42(a: int, b: int, c: int, d: int, carry_ins: Sequence[int],
     """Compress four n-bit words plus up to two carry-in bits."""
     if len(carry_ins) > 2:
         raise ValueError("a (4;2) compressor accepts at most two carry-in bits")
-    if any(bit not in (0, 1) for bit in carry_ins):
+    t_in, v_in = (*carry_ins, 0, 0)[:2]
+    if t_in not in (0, 1) or v_in not in (0, 1):
         raise ValueError("carry-ins must be single bits")
     mask = params.mask
-    if any(not 0 <= w <= mask for w in (a, b, c, d)):
+    if not (0 <= a <= mask and 0 <= b <= mask and 0 <= c <= mask and 0 <= d <= mask):
         raise ValueError("operand words must fit n bits")
-    t_in = carry_ins[0] if len(carry_ins) >= 1 else 0
-    v_in = carry_ins[1] if len(carry_ins) >= 2 else 0
     return CompressorOutput(*_compress42(params.n, a, b, c, d, t_in, v_in))
 
 

@@ -20,7 +20,7 @@ import sys
 import time
 from itertools import compress, count, islice, product, repeat, starmap
 from operator import add, mod, ne
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .core import ChannelSign, GaussianInt
 from .reporting import VerifyReport
@@ -95,13 +95,12 @@ def _draw_range(seed: int, counter: int, span: int) -> int:
 class Field(NamedTuple):
     """One input of a case, taking the values base .. base + span - 1.
 
-    A random case idx draws it from counter idx*8 + slot; a field whose
-    slot is None makes its unit exhaustive-only.
+    A random case idx draws it from counter idx*8 + slot.
     """
 
     name: str
     span: int
-    slot: Optional[int]
+    slot: int
     base: int = 0
 
 

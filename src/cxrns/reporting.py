@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 # JSON consumers must not lose precision: anything at or above 2^53 is
@@ -47,18 +47,11 @@ class VerifyReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        d: dict[str, Any] = {
-            "unit": self.unit,
-            "n": self.n,
-            "mode": self.mode,
-            "cases": self.cases,
-            "failures": self.failures,
-        }
-        if self.counterexample is not None:
-            d["counterexample"] = self.counterexample
-        if self.seed is not None:
-            d["seed"] = self.seed
-        d["wall_time_s"] = self.wall_time_s
+        """The fields in declaration order; a counterexample or seed of None is left out."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        for optional in ("counterexample", "seed"):
+            if d[optional] is None:
+                del d[optional]
         return d
 
     def to_json(self) -> str:

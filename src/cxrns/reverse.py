@@ -48,18 +48,14 @@ def normalize(s: ComplexChannelResidue, params: Params) -> FreshOperand:
 
 
 def mod_inverse(a: int, m: int) -> int:
-    """Inverse of a modulo m in [1, m), by the extended Euclidean algorithm."""
+    """Inverse of a modulo m in [1, m)."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    old_r, r = a % m, m
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    if old_r != 1:
-        raise NotInvertible(f"{a} has no inverse modulo {m} (gcd = {old_r})")
-    return old_s % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertible(f"{a} has no inverse modulo {m} "
+                            f"(gcd = {math.gcd(a, m)})") from None
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,6 @@ def ncrt_reverse(residues: Sequence[int], plan: NcrtPlan) -> int:
             raise RangeExceeded(
                 f"residue {x} out of range [0, {m}) on channel {idx}"
             )
-    if len(residues) == 1:
-        return residues[0]
     acc = 0
     for i, mu_i in enumerate(plan.mu):
         acc += mu_i * (residues[i + 1] - residues[i])

@@ -128,7 +128,7 @@ def _checkpoint(params: Params):
         return (r_sum + (i_sum << n)) % m, x * y % m
 
     # Nonzero operand pairs only.
-    return (Field("x", top, None, 1), Field("y", top, None, 1)), case
+    return (Field("x", top, 0, 1), Field("y", top, 1, 1)), case
 
 
 def _forward(params: Params):
@@ -193,7 +193,7 @@ def _normalize(params: Params):
 UNITS = {
     "adder": Unit(_adder),
     "multiplier": Unit(_multiplier),
-    "checkpoint": Unit(_checkpoint),
+    "checkpoint": Unit(_checkpoint, max_n=30),  # i_sum * 2^n must fit in 63 bits
     "forward": Unit(_forward, max_n=12),  # 5n-bit inputs in 63 bits
     "roundtrip": Unit(_roundtrip, max_n=10, kernel_args=_roundtrip_kernel_args, reads_p=True),
     "compressor": Unit(_compressor),
@@ -290,7 +290,7 @@ def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable
     column = _U64 * len(fields)
     args = (params.n, (_I64 * 4)(*spec.kernel_args(params.n, params.p)), len(fields),
             column(*(f.span for f in fields)), column(*(f.base for f in fields)),
-            column(*(f.slot or 0 for f in fields)), mode == "random", seed)
+            column(*(f.slot for f in fields)), mode == "random", seed)
 
     def run(lo: int, hi: int) -> tuple[int, int]:
         out = (_I64 * 2)()
@@ -319,10 +319,8 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
                force_pure: bool = False) -> VerifyReport:
     """Sweep one unit and build its report.
 
-    The checkpoint unit is exhaustive-only (it enumerates nonzero operand
-    pairs); every other unit supports both modes.  `workers` is capped at
-    the CPU count; the chunks of a multi-worker sweep run on threads, which
-    split only compiled sweeps (pure chunks hold the GIL).
+    `workers` is capped at the CPU count; the chunks of a multi-worker sweep
+    run on threads, which split only compiled sweeps (pure chunks hold the GIL).
     """
     if unit not in UNITS:
         raise ValueError(f"unknown unit {unit!r}; expected one of {tuple(UNITS)}")
@@ -332,9 +330,6 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     fields, case = UNITS[unit].build(params)
-    if mode == "random" and any(f.slot is None for f in fields):
-        raise ValueError(f"{unit} sweeps are exhaustive-only")
-
     total = case_count(fields, mode, samples, seed)
     start = time.perf_counter()
     run = _runner(unit, params, fields, case, mode, seed, force_pure)

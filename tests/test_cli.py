@@ -218,7 +218,8 @@ def test_verify_workers_flag(capsys):
     assert "failures=0" in out
 
 
-@pytest.mark.parametrize("unit,gate", [("forward", 12), ("roundtrip", 10)])
+@pytest.mark.parametrize("unit,gate", [("forward", 12), ("roundtrip", 10),
+                                       ("checkpoint", 30)])
 def test_verify_names_the_backend_that_ran(capsys, unit, gate):
     # Past its kernel's width gate a unit sweeps in pure Python.
     inside = "[compiled]" if sweeps.compiled_available() else "[pure]"

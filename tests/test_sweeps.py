@@ -1,7 +1,9 @@
 """Sweep drivers: backend parity, deterministic ordering, worker partitioning."""
 
 import ctypes
+import dataclasses
 import multiprocessing
+import re
 import shutil
 import sysconfig
 
@@ -40,7 +42,7 @@ def test_exhaustive_sweeps_pass(unit, n, cases, force_pure):
 
 
 @pytest.mark.parametrize("force_pure", BACKENDS)
-@pytest.mark.parametrize("unit", ["adder", "multiplier", "forward", "roundtrip",
+@pytest.mark.parametrize("unit", ["adder", "multiplier", "checkpoint", "forward", "roundtrip",
                                   "compressor", "csa", "normalize"])
 def test_random_sweeps_pass(unit, force_pure):
     report = sweeps.run_verify(unit, 5, mode="random", samples=3000, seed=11,
@@ -184,6 +186,8 @@ def test_compiled_support_gates(monkeypatch):
     assert sweeps.backend_name("roundtrip", 10) == "compiled"
     assert sweeps.backend_name("roundtrip", 11) == "pure"
     assert sweeps.backend_name("multiplier", 31) == "compiled"
+    assert sweeps.backend_name("checkpoint", 30) == "compiled"
+    assert sweeps.backend_name("checkpoint", 31) == "pure"
     assert sweeps.backend_name("multiplier", 2, force_pure=True) == "pure"
     assert sweeps.backend_name() == "compiled"
     monkeypatch.setattr(sweeps, "_C", None)
@@ -201,12 +205,40 @@ def test_every_unit_has_a_kernel():
             assert getattr(sweeps._C, f"sweep_{unit}").argtypes, unit
 
 
+def test_sweep_lines_declare_the_spec_shape():
+    # A SWEEP(unit, arity, usual) line whose usual shape drifts from the spec
+    # still gives right reports, but through the slower general case loop.
+    with open(sweeps._KERNELS_C) as f:
+        source = f.read()
+    based = 1 << int(re.search(r"#define MAX_FIELDS (\d+)", source).group(1))
+    lines = re.findall(r"^SWEEP\((\w+), (\d+), ([^)]*)\)", source, re.M)
+    assert [unit for unit, _, _ in lines] == list(sweeps.UNITS)
+    for unit, arity, usual in lines:
+        declared = sum(based if t == "BASED" else int(t.rstrip("u"))
+                       for t in usual.replace(" ", "").split("|"))
+        spec = sweeps.UNITS[unit]
+        for n in (2, 5, spec.max_n):
+            fields, _ = spec.build(Params(n))
+            shape = sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1))
+            shape |= based if any(f.base for f in fields) else 0
+            assert (len(fields), shape) == (int(arity), declared), (unit, n)
+
+
+_PARITY = [(unit, n, 0, mode) for unit in ("csa", "normalize")
+           for n, mode in [(2, "exhaustive"), (3, "exhaustive"), (5, "random"),
+                           (12, "random"), (16, "random"), (31, "random")]]
+_PARITY += [("checkpoint", n, 0, mode)
+            for n, mode in [(2, "exhaustive"), (3, "exhaustive"), (5, "random"),
+                            (30, "random")]]
+_PARITY += [("roundtrip", 3, 3, "exhaustive"), ("roundtrip", 10, 10, "random")]
+
+
 @needs_compiled
-@pytest.mark.parametrize("unit", ["csa", "normalize"])
-@pytest.mark.parametrize("n,mode", [(2, "exhaustive"), (3, "exhaustive"), (5, "random"),
-                                    (12, "random"), (16, "random"), (31, "random")])
-def test_csa_and_normalize_kernels_match_pure_reports(unit, n, mode):
-    reports = [sweeps.run_verify(unit, n, mode=mode, samples=3000, seed=7,
+@pytest.mark.parametrize("unit,n,p,mode", _PARITY, ids=[
+    f"{n}-{mode}-{unit}" + (f"-p{p}" if p else "") for unit, n, p, mode in _PARITY])
+def test_csa_and_normalize_kernels_match_pure_reports(unit, n, p, mode):
+    # Also checkpoint, and roundtrip at p = n, the widest extension.
+    reports = [sweeps.run_verify(unit, n, p=p, mode=mode, samples=3000, seed=7,
                                  force_pure=force_pure).to_dict()
                for force_pure in (True, False)]
     for report in reports:
@@ -364,6 +396,7 @@ def test_planted_fault_in_csa_and_normalize_reported_identically(monkeypatch, un
 GOLDEN_RANDOM = {  # (unit, n, p): first three cases at seed 7, fields in spec order
     ("adder", 5, 0): [(587, 2, 28, 0, 1), (285, 11, 9, 0, 0), (677, 21, 7, 1, 0)],
     ("multiplier", 5, 0): [(587, 529), (285, 250), (677, 766)],
+    ("checkpoint", 5, 0): [(472, 541), (866, 874), (688, 712)],
     ("forward", 5, 0): [(28581687,), (24801185,), (25496527,)],
     ("forward", 13, 0): [(21300162737582116311,), (25113805461432346465,),
                          (12091930423938242223,)],
@@ -426,6 +459,15 @@ def test_pure_sweep_calls_the_public_op(monkeypatch, unit):
     assert seen == GOLDEN_RANDOM[unit, 5, 0]
 
 
+def _u_plus_one(real):
+    """`real` with one added to the u word of the compressor output it returns."""
+    def faulty(*args):
+        out = real(*args)
+        return dataclasses.replace(out, u=out.u + 1)
+
+    return faulty
+
+
 def _r_plus_one(real):
     """`real` with one added to the r field of the residue it returns."""
     def faulty(*args):
@@ -435,15 +477,20 @@ def _r_plus_one(real):
     return faulty
 
 
-@pytest.mark.parametrize("unit,name,failures,first", [
+@pytest.mark.parametrize("unit,name,fault,failures,first", [
     # Every sum is off by one; the first case is the all-zero one.
-    pytest.param("adder", "add_fresh", 17 * 64,
+    pytest.param("adder", "add_fresh", _r_plus_one, 17 * 64,
                  {"x": 0, "i": 0, "r": 0, "carry": 0, "borrow": 0}, id="add_fresh"),
     # Only the zero-flag gate is wrong: the 17 + 17 - 1 pairs with a zero operand.
-    pytest.param("multiplier", "canonical_zero", 33, {"x": 0, "y": 0}, id="canonical_zero"),
+    pytest.param("multiplier", "canonical_zero", _r_plus_one, 33, {"x": 0, "y": 0},
+                 id="canonical_zero"),
+    # Every compression is off by one; the first case is the all-zero one.
+    pytest.param("compressor", "compress42", _u_plus_one, 4 ** 5,
+                 {"a": 0, "b": 0, "c": 0, "d": 0, "t_in": 0, "v_in": 0}, id="compressor"),
 ])
-def test_pure_sweep_reports_a_fault_in_the_public_op(monkeypatch, unit, name, failures, first):
-    monkeypatch.setattr(alu, name, _r_plus_one(getattr(alu, name)))
+def test_pure_sweep_reports_a_fault_in_the_public_op(monkeypatch, unit, name, fault,
+                                                     failures, first):
+    monkeypatch.setattr(alu, name, fault(getattr(alu, name)))
     report = sweeps.run_verify(unit, 2, force_pure=True)
     assert report.failures == failures
     assert report.counterexample == {**first, "got": 1, "want": 0}
@@ -464,8 +511,6 @@ def test_run_verify_validates_arguments():
         sweeps.run_verify("divider", 2)
     with pytest.raises(ValueError):
         sweeps.run_verify("adder", 2, mode="fuzzy")
-    with pytest.raises(ValueError):
-        sweeps.run_verify("checkpoint", 2, mode="random")
     with pytest.raises(ValueError):
         sweeps.run_verify("adder", 1)
     # A sweep of no cases, or of a count the kernels' int64 index wraps, would pass vacuously.
