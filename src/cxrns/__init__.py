@@ -6,7 +6,6 @@ from .core import (
     CoprimalityViolation,
     Dim1Residue,
     FreshOperand,
-    GaussianInt,
     GaussianPair,
     IntModulus,
     ModuliSet,
@@ -24,7 +23,6 @@ from .core import (
     operand_value,
     residue_from_value,
 )
-from .oracle import gaussian_mod, gaussian_value
 from .forward import (
     CsaPair,
     csa_mod_22n1,

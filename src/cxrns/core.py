@@ -215,32 +215,6 @@ def operand_value(x: FreshOperand, params: Params) -> int:
     return (x.xr + (1 - x.zflag) + (x.xi << params.n)) % params.modulus
 
 
-@dataclass(frozen=True)
-class GaussianInt:
-    """Exact Gaussian integer a + b*j; oracle-side representation only."""
-
-    re: int
-    im: int
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def conj(self) -> "GaussianInt":
-        return GaussianInt(self.re, -self.im)
-
-    def norm(self) -> int:
-        return self.re * self.re + self.im * self.im
-
-
 # --- moduli-set descriptors -------------------------------------------------
 
 @dataclass(frozen=True)

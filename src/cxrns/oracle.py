@@ -1,16 +1,18 @@
-"""Brute-force reference arithmetic and the case engine every sweep runs on.
-
-Everything here is slow, obvious, and arbitrary-precision.  The module is
-deliberately kept import-independent of the dataflow modules: a unit under
-test reaches it only inside the case function a sweep is handed, so the
-checking path cannot inherit a dataflow bug.
+"""The case engine every sweep runs on, in plain arbitrary-precision Python.
 
 A sweep is a tuple of input ``Field``s and a case function returning
 (got, want).  Case ordering is part of the contract: exhaustive sweeps walk
 a single flat index over the fields, random sweeps draw each field from a
 counter-based splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014) that
 the compiled kernels mirror, so results are identical across backends and
-across any contiguous partitioning into worker chunks.
+across any contiguous partitioning into worker chunks.  The decoders turn
+a case range, or one case index, back into field values; ``sweep`` counts
+the failing cases of a range and ``report`` merges the chunk counts and
+records the lowest failing case as the counterexample.
+
+The module imports no dataflow module: a unit under test reaches it only
+inside the case function a sweep is handed, so the engine cannot inherit
+a dataflow bug.
 """
 
 from __future__ import annotations
@@ -22,45 +24,7 @@ from itertools import compress, count, islice, product, repeat, starmap
 from operator import add, mod, ne
 from typing import Callable, NamedTuple
 
-from .core import ChannelSign, GaussianInt
 from .reporting import VerifyReport
-
-
-def _round_nearest_ties_to_zero(a: int, b: int) -> int:
-    """Nearest integer to a/b (b > 0); exact halves round toward zero."""
-    q = a // b
-    r = a - q * b
-    twice = 2 * r
-    if twice > b or (twice == b and q < 0):
-        q += 1
-    return q
-
-
-def gaussian_mod(x: int, n: int, sign: ChannelSign) -> GaussianInt:
-    """Canonical residue of x modulo 2^n - j (MINUS) or 2^n + j (PLUS).
-
-    Exact Gaussian division with a rounded quotient: the result q satisfies
-    x - q divisible by the modulus, and mapping j onto +-2^n recovers
-    x mod (2^2n + 1).  Canonical form means the rounded-quotient remainder;
-    only the integer value matters downstream.
-    """
-    if x < 0:
-        raise ValueError(f"operand must be non-negative, got {x}")
-    im = -1 if sign is ChannelSign.MINUS else 1
-    modulus = GaussianInt(1 << n, im)
-    norm = modulus.norm()
-    t = GaussianInt(x, 0) * modulus.conj()
-    q = GaussianInt(
-        _round_nearest_ties_to_zero(t.re, norm),
-        _round_nearest_ties_to_zero(t.im, norm),
-    )
-    return GaussianInt(x, 0) - q * modulus
-
-
-def gaussian_value(g: GaussianInt, n: int, sign: ChannelSign) -> int:
-    """Map j onto +-2^n and reduce: the integer a Gaussian residue stands for."""
-    unit = (1 << n) if sign is ChannelSign.MINUS else -(1 << n)
-    return (g.re + unit * g.im) % ((1 << (2 * n)) + 1)
 
 
 # --- counter-based PRNG (mirrors the compiled splitmix64 exactly) ------------
