@@ -32,7 +32,7 @@ struct ctx {
     int64_t mu1, mu2, mu3;         /* New-CRT coefficients */
 };
 
-static struct ctx ctx_make(int n, const int64_t *args)
+INLINE struct ctx ctx_make(int n, const int64_t *args)
 {
     struct ctx c;
     c.n = n;
@@ -147,8 +147,7 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
 {
     uint64_t wmask = ((uint64_t)1 << (2 * n)) - 1, v;
     uint64_t t = csa22n1(n, z >> (4 * n), (z >> (2 * n)) & wmask, z & wmask, &v) + v;
-    if (t >= m)
-        t -= m;
+    t -= m & -(uint64_t)(t >= m);  /* no branch: t >= m is a coin toss on random inputs */
     return (t & wmask) + 1 - (t >> (2 * n));  /* flagged: bits + (1 - zflag) */
 }
 
@@ -289,10 +288,37 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     out[1] = first;
 }
 
+/* One arm of the width switch: the case loop with n, and so every modulus,
+ * mask and shift derived from it, a compile-time constant, which turns each
+ * % by a modulus into a multiply and a shift.  An arm past the unit's widest
+ * specialized width `top` is dead code, dropped before inlining. */
+#define ARM(k, unit, arity, usual, top)                                             \
+    case k:                                                                         \
+        if (k <= (top)) {                                                           \
+            struct ctx ck = ctx_make(k, args);                                      \
+            run_cases(&ck, unit##_bad, arity, usual, span, base, slot, random,      \
+                      seed, lo, hi, out);                                           \
+            return 0;                                                               \
+        }                                                                           \
+        break;
+#define ARMS(...) \
+    ARM(2, __VA_ARGS__) ARM(3, __VA_ARGS__) ARM(4, __VA_ARGS__) ARM(5, __VA_ARGS__) \
+    ARM(6, __VA_ARGS__) ARM(7, __VA_ARGS__) ARM(8, __VA_ARGS__) ARM(9, __VA_ARGS__) \
+    ARM(10, __VA_ARGS__) ARM(11, __VA_ARGS__) ARM(12, __VA_ARGS__)                  \
+    ARM(13, __VA_ARGS__) ARM(14, __VA_ARGS__) ARM(15, __VA_ARGS__)                  \
+    ARM(16, __VA_ARGS__) ARM(17, __VA_ARGS__) ARM(18, __VA_ARGS__)                  \
+    ARM(19, __VA_ARGS__) ARM(20, __VA_ARGS__) ARM(21, __VA_ARGS__)                  \
+    ARM(22, __VA_ARGS__) ARM(23, __VA_ARGS__) ARM(24, __VA_ARGS__)                  \
+    ARM(25, __VA_ARGS__) ARM(26, __VA_ARGS__) ARM(27, __VA_ARGS__)                  \
+    ARM(28, __VA_ARGS__) ARM(29, __VA_ARGS__) ARM(30, __VA_ARGS__)                  \
+    ARM(31, __VA_ARGS__)
+
 /* sweep_<unit>: returns -1 when the spec's field count is not the case
  * function's.  A spec of the unit's usual shape runs a case loop specialized
- * to it; any other shape (say, a shifted base) runs the general one. */
-#define SWEEP(unit, arity, usual)                                                   \
+ * to it, and at widths 2..top also to n; any other shape (say, a shifted
+ * base) runs the general one.  top is the unit's Unit.max_n, or 0 where a
+ * constant n gains nothing because the case has no division. */
+#define SWEEP(unit, arity, usual, top)                                              \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
@@ -302,23 +328,26 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         if (nf != arity)                                                            \
             return -1;                                                              \
         shape = shape_of(nf, span, base);                                           \
-        if (shape == (usual))                                                       \
+        if (shape == (usual)) {                                                     \
+            switch (n) {                                                            \
+                ARMS(unit, arity, usual, top)                                       \
+            }                                                                       \
             run_cases(&c, unit##_bad, arity, usual, span, base, slot, random,       \
                       seed, lo, hi, out);                                           \
-        else                                                                        \
+        } else                                                                      \
             run_cases(&c, unit##_bad, arity, shape, span, base, slot, random,       \
                       seed, lo, hi, out);                                           \
         return 0;                                                                   \
     }
 
-SWEEP(adder, 5, 1u)          /* x spans 2^2n + 1 */
-SWEEP(multiplier, 2, 3u)     /* x, y span 2^2n + 1 */
-SWEEP(checkpoint, 2, BASED)  /* x, y from 1 */
-SWEEP(forward, 1, 1u)
-SWEEP(roundtrip, 1, 1u)
-SWEEP(compressor, 6, 0u)
-SWEEP(csa, 3, 0u)
-SWEEP(normalize, 4, 0u)
+SWEEP(adder, 5, 1u, 31)          /* x spans 2^2n + 1 */
+SWEEP(multiplier, 2, 3u, 31)     /* x, y span 2^2n + 1 */
+SWEEP(checkpoint, 2, BASED, 30)  /* x, y from 1 */
+SWEEP(forward, 1, 1u, 12)
+SWEEP(roundtrip, 1, 1u, 10)
+SWEEP(compressor, 6, 0u, 0)
+SWEEP(csa, 3, 0u, 31)
+SWEEP(normalize, 4, 0u, 31)
 
 /* --- exported helpers (parity checks against the Python dataflow) ----------- */
 

@@ -5,6 +5,7 @@ import dataclasses
 import multiprocessing
 import re
 import shutil
+import subprocess
 import sysconfig
 
 import pytest
@@ -101,9 +102,19 @@ def test_compiler_on_path_builds_the_kernels():
     assert sweeps.backend_name() == "compiled"
 
 
-def test_kernels_build_into_an_empty_cache(tmp_path):
-    if not sweeps.compiled_available():
-        pytest.skip("no C compiler")
+def _copy_library_as_compiler(monkeypatch):
+    """Make a build copy the library this session already loaded instead of
+    compiling _kernels.c again: a full build takes seconds."""
+    def compile_(cmd, **kwargs):
+        shutil.copyfile(sweeps._C._name, cmd[cmd.index("-o") + 1])
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(sweeps.subprocess, "run", compile_)
+
+
+@needs_compiled
+def test_kernels_build_into_an_empty_cache(monkeypatch, tmp_path):
+    _copy_library_as_compiler(monkeypatch)
     cache = tmp_path / "__pycache__"
     kernels = sweeps._load_kernels(str(cache))
     assert kernels is not None
@@ -115,9 +126,9 @@ def test_kernels_build_into_an_empty_cache(tmp_path):
     assert [p.name for p in cache.iterdir()] == built
 
 
-def test_build_removes_libraries_of_earlier_sources(tmp_path):
-    if not sweeps.compiled_available():
-        pytest.skip("no C compiler")
+@needs_compiled
+def test_build_removes_libraries_of_earlier_sources(monkeypatch, tmp_path):
+    _copy_library_as_compiler(monkeypatch)
     cache = tmp_path / "__pycache__"
     cache.mkdir()
     stale = cache / f"_kernels.{'0' * 64}.so"
@@ -156,9 +167,9 @@ def test_failed_compile_warns_with_compiler_output(monkeypatch, tmp_path):
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
+@needs_compiled
 def test_missing_export_warns_and_means_pure_backend(monkeypatch, tmp_path):
-    if not sweeps.compiled_available():
-        pytest.skip("no C compiler")
+    # The one loader test that runs the compiler on (a trimmed) _kernels.c.
     with open(sweeps._KERNELS_C) as f:
         lines = f.readlines()
     trimmed = tmp_path / "_kernels.c"
@@ -205,15 +216,21 @@ def test_every_unit_has_a_kernel():
             assert getattr(sweeps._C, f"sweep_{unit}").argtypes, unit
 
 
+with open(sweeps._KERNELS_C) as _f:
+    _SOURCE = _f.read()
+# SWEEP(unit, arity, usual, top): one line per unit, in UNITS order.
+_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), ([^,]*), (\d+)\)", _SOURCE, re.M)
+_TOP = {unit: int(top) for unit, _, _, top in _SWEEP_LINES}
+_UNSPECIALIZED = {"compressor"}  # its case has no division for a constant n to save
+
+
 def test_sweep_lines_declare_the_spec_shape():
-    # A SWEEP(unit, arity, usual) line whose usual shape drifts from the spec
-    # still gives right reports, but through the slower general case loop.
-    with open(sweeps._KERNELS_C) as f:
-        source = f.read()
-    based = 1 << int(re.search(r"#define MAX_FIELDS (\d+)", source).group(1))
-    lines = re.findall(r"^SWEEP\((\w+), (\d+), ([^)]*)\)", source, re.M)
-    assert [unit for unit, _, _ in lines] == list(sweeps.UNITS)
-    for unit, arity, usual in lines:
+    # A SWEEP(unit, arity, usual, top) line whose usual shape drifts from the spec
+    # still gives right reports, but through the slower general case loop.  So
+    # does a width past top; width arms past max_n are dead code.
+    based = 1 << int(re.search(r"#define MAX_FIELDS (\d+)", _SOURCE).group(1))
+    assert [unit for unit, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
+    for unit, arity, usual, top in _SWEEP_LINES:
         declared = sum(based if t == "BASED" else int(t.rstrip("u"))
                        for t in usual.replace(" ", "").split("|"))
         spec = sweeps.UNITS[unit]
@@ -222,6 +239,24 @@ def test_sweep_lines_declare_the_spec_shape():
             shape = sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1))
             shape |= based if any(f.base for f in fields) else 0
             assert (len(fields), shape) == (int(arity), declared), (unit, n)
+        assert int(top) == (0 if unit in _UNSPECIALIZED else spec.max_n), unit
+    arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
+    assert [int(k) for k in arms] == list(range(2, max(_TOP.values()) + 1))
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", [unit for unit in _TOP if _TOP[unit]])
+def test_every_width_arm_matches_pure_reports(unit):
+    # Each width 2..top runs its own compiled case loop, with n a constant.
+    for n in range(2, _TOP[unit] + 1):
+        for p in (0, n) if sweeps.UNITS[unit].reads_p else (0,):
+            reports = [sweeps.run_verify(unit, n, p=p, mode="random", samples=300, seed=3,
+                                         force_pure=force_pure).to_dict()
+                       for force_pure in (True, False)]
+            for report in reports:
+                report.pop("wall_time_s")
+            assert reports[0] == reports[1], (unit, n, p)
+            assert reports[0]["failures"] == 0, (unit, n, p)
 
 
 _PARITY = [(unit, n, 0, mode) for unit in ("csa", "normalize")
