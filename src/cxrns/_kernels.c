@@ -2,12 +2,14 @@
  *
  * The case space is not written here: sweeps.UNITS gives every field's
  * span, base and random-counter slot, and one case loop turns those into
- * case values.  An exhaustive sweep walks the flat index with an odometer
- * (first field most significant); a random sweep gives field f of case k
+ * case values.  An exhaustive sweep walks the flat index (first field most
+ * significant) in blocks of cases; a random sweep gives field f of case k
  * the value base + draw(seed, 8k + slot) mod span.  Each case function
  * mirrors its unit's Python dataflow and returns whether the case is a
- * mismatch.  Internal helpers are static so the case loop never calls
- * through the PLT; the exported helpers exist for parity tests.
+ * mismatch.  The case functions have no branches gcc cannot turn into
+ * selects, so an exhaustive loop over a block of cases runs several cases
+ * per vector instruction.  Internal helpers are static so the case loop
+ * never calls through the PLT; the exported helpers exist for parity tests.
  */
 
 #include <stdint.h>
@@ -20,22 +22,27 @@
 
 #define MAX_FIELDS 8
 #define SLOTS 8
+#define BLOCK 256  /* cases per block of the vectorised exhaustive loop */
 #define GOLDEN 0x9E3779B97F4A7C15u
 
 typedef unsigned __int128 u128;
 
-/* Per-sweep constants; the roundtrip ones come from its kernel arguments. */
+/* Per-sweep constants; the roundtrip ones come from its kernel arguments.
+ * wide: the field values are unchecked, so mod_m reduces in full width;
+ * lanes: the case runs in the vectorised block loop. */
 struct ctx {
-    int n, p;
+    int n, p, wide, lanes;
     uint64_t m, mask;              /* 2^2n + 1, 2^n - 1 */
     uint64_t m2, m3, tail;         /* 2^n - 1, 2^n + 1, m2*m3*m */
     int64_t mu1, mu2, mu3;         /* New-CRT coefficients */
 };
 
-INLINE struct ctx ctx_make(int n, const int64_t *args)
+INLINE struct ctx ctx_make(int n, const int64_t *args, int wide)
 {
     struct ctx c;
     c.n = n;
+    c.wide = wide;
+    c.lanes = 0;
     c.p = (int)args[0];
     c.m = ((uint64_t)1 << (2 * n)) + 1;
     c.mask = ((uint64_t)1 << n) - 1;
@@ -46,6 +53,32 @@ INLINE struct ctx ctx_make(int n, const int64_t *args)
     c.mu2 = args[2];
     c.mu3 = args[3];
     return c;
+}
+
+/* a % c->m for a < 2^bits, where bits follows from n and the field bounds
+ * of the case function (its <unit>_bits).  In a width arm n, and so bits,
+ * is a constant and the tests fold away.  The block loop (lanes) reduces
+ * in ways that vectorise, as a 64-bit remainder does not: below 2^32 by a
+ * 32-bit remainder, below 2^64 (and 2^6n) by folding end-around (2^2n = -1
+ * mod m) to below 3m and subtracting m at most twice.  A scalar loop takes a 64-bit
+ * remainder, because gcc turns some 32-bit ones into longer shift-add
+ * chains, and u128 only for an a past 64 bits.  A general loop (wide)
+ * trusts no bound and tests a itself. */
+INLINE uint64_t mod_m(const struct ctx *c, u128 a, int bits)
+{
+    int w = 2 * c->n;
+    if (!c->wide && c->lanes && bits <= 32)
+        return (uint32_t)a % (uint32_t)c->m;
+    if (!c->wide && c->lanes && bits <= 64 && bits <= 3 * w) {
+        uint64_t low = (uint64_t)a, wmask = c->m - 2;
+        uint64_t t = (low & wmask) + (bits > 2 * w ? low >> (2 * w) : 0) + c->m
+                     - ((low >> w) & wmask);
+        t -= 2 * c->m & -(uint64_t)(t >= 2 * c->m);
+        return t - (c->m & -(uint64_t)(t >= c->m));
+    }
+    if (!c->wide && bits <= 64)
+        return (uint64_t)a % c->m;
+    return a >> 64 ? (uint64_t)(a % c->m) : (uint64_t)a % c->m;
 }
 
 /* --- counter-based PRNG (splitmix64) ------------------------------------- */
@@ -127,10 +160,11 @@ INLINE void mul4(int n, uint64_t xr, uint64_t xi, uint64_t yr, uint64_t yi, uint
     out[3] = sr >> n;
 }
 
-/* (r - borrow + 2^n (i + carry)) mod m of fields (r, borrow, i, carry). */
+/* (r - borrow + 2^n (i + carry)) mod m of fields (r, borrow, i, carry), each
+ * below 2^n (borrow up to m). */
 INLINE uint64_t phi(const struct ctx *c, const uint64_t *f)
 {
-    return (f[0] + ((f[2] + f[3]) << c->n) + c->m - f[1]) % c->m;
+    return mod_m(c, f[0] + ((f[2] + f[3]) << c->n) + c->m - f[1], 2 * c->n + 2);
 }
 
 /* Modulo-(2^2n + 1) carry-save stage over (z2, ~z1, z0): returns u; *v takes
@@ -151,7 +185,17 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
     return (t & wmask) + 1 - (t >> (2 * n));  /* flagged: bits + (1 - zflag) */
 }
 
-/* --- case functions: field values in spec order, nonzero on a mismatch ----- */
+/* --- case functions: field values in spec order, nonzero on a mismatch -----
+ *
+ * <unit>_bits sets, per field, the bits below which the case function's
+ * mod_m bounds hold at width n (63 assumes nothing); a spec with a field
+ * past them runs the general loop, whose mod_m reduces in full width. */
+
+INLINE void adder_bits(int n, int *bits)
+{
+    bits[0] = 2 * n + 1;                        /* x <= 2^2n */
+    bits[1] = bits[2] = bits[3] = bits[4] = n;  /* i, r; carry, borrow with slack */
+}
 
 INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
 {
@@ -159,19 +203,27 @@ INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
     uint64_t xr, xi, xz, f[4];
     split_fresh(c->n, x, &xr, &xi, &xz);
     add4(c->n, xr, xi, xz, r, borrow, i, carry, f);
-    return phi(c, f) != (x + r + ((i + carry) << c->n) + c->m - borrow) % c->m;
+    return phi(c, f) != mod_m(c, x + r + ((i + carry) << c->n) + c->m - borrow, 2 * c->n + 3);
+}
+
+INLINE void multiplier_bits(int n, int *bits)
+{
+    bits[0] = bits[1] = 2 * n + 1;  /* x, y <= 2^2n */
 }
 
 INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
 {
-    uint64_t x = v[0], y = v[1], xr, xi, xz, yr, yi, yz, f[4], got = 0;
+    uint64_t x = v[0], y = v[1], xr, xi, xz, yr, yi, yz, f[4];
     split_fresh(c->n, x, &xr, &xi, &xz);
     split_fresh(c->n, y, &yr, &yi, &yz);
-    if (!(xz | yz)) {  /* a zero flag gates the product to canonical zero */
-        mul4(c->n, xr, xi, yr, yi, f);
-        got = phi(c, f);
-    }
-    return got != (uint64_t)((u128)x * y % c->m);
+    mul4(c->n, xr, xi, yr, yi, f);
+    /* a zero flag gates the product to canonical zero */
+    return (phi(c, f) & ((xz | yz) - 1)) != mod_m(c, (u128)x * y, 4 * c->n + 2);
+}
+
+INLINE void checkpoint_bits(int n, int *bits)
+{
+    bits[0] = bits[1] = 2 * n + 1;  /* x, y <= 2^2n */
 }
 
 INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
@@ -181,19 +233,30 @@ INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
     split_fresh(c->n, y, &yr, &yi, &yz);
     uint64_t p1 = (1 + xr) * (1 + yr), p2 = (1 + xr) * yi;
     uint64_t p3 = xi * (1 + yr), p4 = xi * yi;
-    int64_t r_sum = (int64_t)((p1 & mask) + ((p4 & mask) ^ mask) + ((p2 >> c->n) ^ mask)
-                              + ((p3 >> c->n) ^ mask) + ((p1 >> (2 * c->n)) ^ 1) + 3);
-    int64_t i_sum = (int64_t)(((p1 >> c->n) & mask) + (p2 & mask) + (p3 & mask)
-                              + ((p4 >> c->n) ^ mask)) - 2;
-    int64_t t = (r_sum + i_sum * ((int64_t)1 << c->n)) % (int64_t)c->m;
-    if (t < 0)
-        t += (int64_t)c->m;
-    return (uint64_t)t != (uint64_t)((u128)x * y % c->m);
+    uint64_t r_sum = (p1 & mask) + ((p4 & mask) ^ mask) + ((p2 >> c->n) ^ mask)
+                     + ((p3 >> c->n) ^ mask) + ((p1 >> (2 * c->n)) ^ 1) + 3;
+    uint64_t i_sum2 = ((p1 >> c->n) & mask) + (p2 & mask) + (p3 & mask)
+                      + ((p4 >> c->n) ^ mask);  /* i_sum + 2 */
+    /* r_sum + 2^n i_sum + m, which m > 2^(n+1) keeps nonnegative */
+    uint64_t t = mod_m(c, r_sum + (i_sum2 << c->n) + c->m - ((uint64_t)2 << c->n),
+                       2 * c->n + 4);
+    return t != mod_m(c, (u128)x * y, 4 * c->n + 2);
+}
+
+INLINE void forward_bits(int n, int *bits)
+{
+    bits[0] = 5 * n;  /* z < 2^n (2^4n - 1) */
 }
 
 INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
 {
-    return forward_dim1(c->n, c->m, v[0]) != v[0] % c->m;
+    return forward_dim1(c->n, c->m, v[0]) != mod_m(c, v[0], 5 * c->n);
+}
+
+INLINE void roundtrip_bits(int n, int *bits)
+{
+    (void)n;
+    bits[0] = 63;
 }
 
 INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
@@ -208,6 +271,12 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
     return (uint64_t)x1 + (mask1 + 1) * (uint64_t)acc != z;
 }
 
+INLINE void compressor_bits(int n, int *bits)
+{
+    (void)n;
+    bits[0] = bits[1] = bits[2] = bits[3] = bits[4] = bits[5] = 63;
+}
+
 INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t vh, cn, vn;
@@ -215,22 +284,34 @@ INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
     return u + vh + ((cn + vn) << c->n) != v[0] + v[1] + v[2] + v[3] + v[4] + v[5];
 }
 
+INLINE void csa_bits(int n, int *bits)
+{
+    bits[0] = bits[1] = bits[2] = 2 * n;  /* z1, z0; z2 with slack */
+}
+
 INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t z2 = v[0], z1 = v[1], z0 = v[2], wmask = c->m - 2, w;
     uint64_t u = csa22n1(c->n, z2, z1, z0, &w);
-    return (u + w) % c->m != (z2 + (z1 ^ wmask) + z0 + 1) % c->m;
+    return mod_m(c, u + w, 2 * c->n + 2)
+           != mod_m(c, z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 2);
+}
+
+INLINE void normalize_bits(int n, int *bits)
+{
+    bits[0] = bits[1] = bits[2] = bits[3] = n;  /* i, r; carry, borrow with slack */
 }
 
 INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t i = v[0], r = v[1], carry = v[2], borrow = v[3];
     /* channel_to_dim1: the main word 2^2n + 2^n i + r plus the sparse word */
-    uint64_t x = ((c->m - 1) + (i << c->n) + r + ((carry << c->n) | (borrow ^ 1))) % c->m;
+    uint64_t x = mod_m(c, (c->m - 1) + (i << c->n) + r + ((carry << c->n) | (borrow ^ 1)),
+                       2 * c->n + 2);
     uint64_t zflag = x == 0, bits = zflag ? 0 : x - 1;  /* dim1_encode */
     uint64_t xr = bits & c->mask, xi = bits >> c->n;    /* to_channel_operand */
     uint64_t f[4] = {r, borrow, i, carry};
-    return (xr + (1 - zflag) + (xi << c->n)) % c->m != phi(c, f);
+    return mod_m(c, xr + (1 - zflag) + (xi << c->n), 2 * c->n + 2) != phi(c, f);
 }
 
 /* --- case loop --------------------------------------------------------------- */
@@ -246,9 +327,40 @@ static unsigned shape_of(int nf, const uint64_t *span, const uint64_t *base)
     return shape;
 }
 
+/* Whether every field's largest value, base + span - 1, is below 2^bits. */
+static int fields_fit(int nf, const uint64_t *span, const uint64_t *base, const int *bits)
+{
+    for (int f = 0; f < nf; f++)
+        if (bits[f] < 64 && (span[f] > (uint64_t)1 << bits[f]
+                             || base[f] > ((uint64_t)1 << bits[f]) - span[f]))
+            return 0;
+    return 1;
+}
+
+/* Whether exhaustive case u of the current run is a mismatch: field f from g
+ * on is v[f] + (u >> sh[f] & mk[f]), each field before g holds v[f]. */
+INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
+                   int nf, int g, const uint64_t *v, const uint64_t *sh, const uint64_t *mk,
+                   uint64_t u)
+{
+    uint64_t w[MAX_FIELDS];
+    for (int f = 0; f < nf; f++)
+        w[f] = f < g ? v[f] : v[f] + (u >> sh[f] & mk[f]);
+    return bad(c, w);
+}
+
 /* Runs cases [lo, hi); out gets (failures, first failing index or -1).  The
  * field constants are copied to locals so that, inlined with a constant nf
- * and shape, they live in registers and the per-field tests fold away. */
+ * and shape, they live in registers and the per-field tests fold away.
+ *
+ * An exhaustive sweep splits the fields at g, the last whose span is not a
+ * power of two (or 0): fields g.. decode from one counter u by shift and
+ * mask, and the fields before g step as an odometer each time u wraps.  It
+ * runs blocks of BLOCK cases within one run of u: one counted loop, which
+ * vectorises, sums the block's mismatches, and only a block that holds the
+ * sweep's first mismatch is scanned again, with the same arithmetic, for
+ * its index.  The spans' product is below 2^63, as oracle.case_count
+ * requires of an exhaustive sweep. */
 INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
                   int nf, unsigned shape, const uint64_t *span, const uint64_t *base,
                   const uint64_t *slot, int random, uint64_t seed, uint64_t lo, uint64_t hi,
@@ -272,16 +384,40 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
                 first = (int64_t)k;
         }
     } else {
-        uint64_t idx = lo;
-        for (f = nf - 1; f >= 0; f--) {
+        uint64_t sh[MAX_FIELDS], mk[MAX_FIELDS], wrap = 1, idx, u, j;
+        struct ctx cl = *c;
+        int g = nf - 1;
+        cl.lanes = 1;
+        while (g > 0 && !(shape >> g & 1))
+            g--;
+        for (f = nf - 1; f >= g; f--) {
+            sh[f] = (uint64_t)__builtin_ctzll(wrap);
+            mk[f] = f > g ? sp[f] - 1 : ~(uint64_t)0;
+            v[f] = b[f];
+            wrap *= sp[f];
+        }
+        u = lo % wrap;
+        for (idx = lo / wrap, f = g - 1; f >= 0; f--) {
             v[f] = b[f] + idx % sp[f];
             idx /= sp[f];
         }
-        for (uint64_t k = lo; k < hi; k++) {
-            if (bad(c, v) && failures++ == 0)
-                first = (int64_t)k;
-            for (f = nf - 1; f >= 0 && ++v[f] == b[f] + sp[f]; f--)
-                v[f] = b[f];
+        for (uint64_t k = lo, len; k < hi; k += len) {
+            unsigned mismatches = 0;
+            len = hi - k < wrap - u ? hi - k : wrap - u;
+            len = len < BLOCK ? len : BLOCK;
+            for (j = 0; j < len; j++)
+                mismatches += (unsigned)case_at(&cl, bad, nf, g, v, sh, mk, u + j);
+            if (mismatches && failures == 0) {
+                for (j = 0; !case_at(&cl, bad, nf, g, v, sh, mk, u + j); j++)
+                    ;
+                first = (int64_t)(k + j);
+            }
+            failures += mismatches;
+            if ((u += len) == wrap) {
+                u = 0;
+                for (f = g - 1; f >= 0 && ++v[f] == b[f] + sp[f]; f--)
+                    v[f] = b[f];
+            }
         }
     }
     out[0] = (int64_t)failures;
@@ -290,14 +426,15 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
 
 /* One arm of the width switch: the case loop with n, and so every modulus,
  * mask and shift derived from it, a compile-time constant, which turns each
- * % by a modulus into a multiply and a shift.  An arm past the unit's widest
- * specialized width `top` is dead code, dropped before inlining. */
-#define ARM(k, unit, arity, usual, top)                                             \
+ * % by a modulus into a multiply and a shift.  An arm past the unit's
+ * widest specialized width `top` is dead code, dropped before inlining; one
+ * past `xtop` runs only random sweeps, so its exhaustive loop is dropped. */
+#define ARM(k, unit, arity, usual, top, xtop)                                       \
     case k:                                                                         \
-        if (k <= (top)) {                                                           \
-            struct ctx ck = ctx_make(k, args);                                      \
-            run_cases(&ck, unit##_bad, arity, usual, span, base, slot, random,      \
-                      seed, lo, hi, out);                                           \
+        if (k <= (top) && (random || k <= (xtop))) {                                \
+            struct ctx ck = ctx_make(k, args, 0);                                   \
+            run_cases(&ck, unit##_bad, arity, usual, span, base, slot,              \
+                      k <= (xtop) ? random : 1, seed, lo, hi, out);                 \
             return 0;                                                               \
         }                                                                           \
         break;
@@ -314,23 +451,28 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(31, __VA_ARGS__)
 
 /* sweep_<unit>: returns -1 when the spec's field count is not the case
- * function's.  A spec of the unit's usual shape runs a case loop specialized
- * to it, and at widths 2..top also to n; any other shape (say, a shifted
- * base) runs the general one.  top is the unit's Unit.max_n, or 0 where a
- * constant n gains nothing because the case has no division. */
-#define SWEEP(unit, arity, usual, top)                                              \
+ * function's.  A spec of the unit's usual shape whose fields fit <unit>_bits
+ * runs a case loop specialized to it, and at widths 2..top (2..xtop for an
+ * exhaustive sweep) also to n; any other spec (say, a shifted base) runs the
+ * general one.  top is the unit's Unit.max_n, or 0 where a constant n gains
+ * nothing because the case has no division.  xtop is the widest n, at most
+ * top, whose usual case space has fewer than 2^63 cases, the most an
+ * exhaustive sweep indexes: a wider one can only be a narrowed spec. */
+#define SWEEP(unit, arity, usual, top, xtop)                                        \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
     {                                                                               \
-        struct ctx c = ctx_make(n, args);                                           \
+        struct ctx c = ctx_make(n, args, 1);                                        \
         unsigned shape;                                                             \
+        int bits[arity];                                                            \
         if (nf != arity)                                                            \
             return -1;                                                              \
         shape = shape_of(nf, span, base);                                           \
-        if (shape == (usual)) {                                                     \
+        unit##_bits(n, bits);                                                       \
+        if (shape == (usual) && fields_fit(nf, span, base, bits)) {                 \
             switch (n) {                                                            \
-                ARMS(unit, arity, usual, top)                                       \
+                ARMS(unit, arity, usual, top, xtop)                                 \
             }                                                                       \
             run_cases(&c, unit##_bad, arity, usual, span, base, slot, random,       \
                       seed, lo, hi, out);                                           \
@@ -340,14 +482,14 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         return 0;                                                                   \
     }
 
-SWEEP(adder, 5, 1u, 31)          /* x spans 2^2n + 1 */
-SWEEP(multiplier, 2, 3u, 31)     /* x, y span 2^2n + 1 */
-SWEEP(checkpoint, 2, BASED, 30)  /* x, y from 1 */
-SWEEP(forward, 1, 1u, 12)
-SWEEP(roundtrip, 1, 1u, 10)
-SWEEP(compressor, 6, 0u, 0)
-SWEEP(csa, 3, 0u, 31)
-SWEEP(normalize, 4, 0u, 31)
+SWEEP(adder, 5, 1u, 31, 15)          /* x spans 2^2n + 1 */
+SWEEP(multiplier, 2, 3u, 31, 15)     /* x, y span 2^2n + 1 */
+SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1 */
+SWEEP(forward, 1, 1u, 12, 12)
+SWEEP(roundtrip, 1, 1u, 10, 10)
+SWEEP(compressor, 6, 0u, 0, 0)
+SWEEP(csa, 3, 0u, 31, 12)
+SWEEP(normalize, 4, 0u, 31, 30)
 
 /* --- exported helpers (parity checks against the Python dataflow) ----------- */
 

@@ -220,18 +220,40 @@ _SIGNATURES = {  # name: (restype, argtypes)
 }
 
 
+def _cpu_features() -> str | None:
+    """The host CPU's feature list: the flags line of /proc/cpuinfo (Features
+    on ARM), or None where there is none to read (macOS, BSD, a locked-down
+    /proc)."""
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as f:
+            for line in f:
+                if line.startswith(("flags", "Features")):
+                    return line.split(":", 1)[1].strip() or None
+    except OSError:
+        pass
+    return None
+
+
 def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycache__")):
     """The compiled kernels, built from _kernels.c into `cache` on first use.
 
-    The library is named by the source's hash and written under a temporary
-    name first, so concurrent first imports are safe.  A build removes the
-    libraries of earlier sources from `cache`.  Returns None (pure
-    Python) without a C compiler, when the build fails, when the library
-    lacks an export of ``_SIGNATURES`` or when the cache cannot be written
-    or loaded.
+    Where the host CPU's feature list can be read, the build targets that
+    CPU (``-march=native``; a compiler that rejects the flag builds once
+    more without it) and the library is named by the source's hash and by a
+    hash of the feature list, so a cache shared between two machines never
+    runs one CPU's instructions on the other.  Elsewhere the build is the
+    compiler's portable one, named ``generic``.  The library is written
+    under a temporary name first, so concurrent first imports are safe.  A
+    build removes the libraries of earlier sources from `cache`.  Returns
+    None (pure Python) without a C compiler, when the build fails, when the
+    library lacks an export of ``_SIGNATURES`` or when the cache cannot be
+    written or loaded.
     """
     with open(_KERNELS_C, "rb") as f:
-        lib = os.path.join(cache, f"_kernels.{hashlib.sha256(f.read()).hexdigest()}.so")
+        source = hashlib.sha256(f.read()).hexdigest()
+    features = _cpu_features()
+    cpu = "generic" if features is None else hashlib.sha256(features.encode()).hexdigest()[:16]
+    lib = os.path.join(cache, f"_kernels.{source}.{cpu}.so")
     tmp = f"{lib}.{os.getpid()}.tmp"
     try:
         if not os.path.exists(lib):
@@ -241,16 +263,20 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
             if shutil.which(cc[0]) is None:
                 return None
             os.makedirs(cache, exist_ok=True)
-            build = subprocess.run([*cc, "-O3", "-std=c99", "-shared", "-fPIC",
-                                    _KERNELS_C, "-o", tmp], capture_output=True, text=True)
-            if build.returncode:
+            for march in (["-march=native"], []) if features else ([],):
+                build = subprocess.run([*cc, "-O3", "-std=c99", *march, "-shared", "-fPIC",
+                                        _KERNELS_C, "-o", tmp], capture_output=True, text=True)
+                if not build.returncode:
+                    break
+            else:
                 warnings.warn(f"compiling {_KERNELS_C} failed, sweeps run in pure "
                               f"Python:\n{build.stderr}", RuntimeWarning)
                 return None
             os.replace(tmp, lib)
             for name in os.listdir(cache):  # libraries built from earlier sources
                 stale = os.path.join(cache, name)
-                if name.startswith("_kernels.") and name.endswith(".so") and stale != lib:
+                if (name.startswith("_kernels.") and name.endswith(".so")
+                        and not name.startswith(f"_kernels.{source}.")):
                     try:
                         os.unlink(stale)
                     except OSError:  # gone already, or not ours to remove: keep loading

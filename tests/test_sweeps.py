@@ -2,11 +2,16 @@
 
 import ctypes
 import dataclasses
+import math
 import multiprocessing
+import operator
 import re
 import shutil
 import subprocess
+import sys
 import sysconfig
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -110,6 +115,7 @@ def _copy_library_as_compiler(monkeypatch):
         return subprocess.CompletedProcess(cmd, 0, "", "")
 
     monkeypatch.setattr(sweeps.subprocess, "run", compile_)
+    return compile_
 
 
 @needs_compiled
@@ -140,6 +146,67 @@ def test_build_removes_libraries_of_earlier_sources(monkeypatch, tmp_path):
     assert kernels.draw(7, 3) == oracle._draw(7, 3)
     assert not stale.exists() and building.exists()
     assert len(list(cache.glob("_kernels.*.so"))) == 1
+
+
+@needs_compiled
+def test_each_cpu_gets_its_own_library(monkeypatch, tmp_path):
+    # The build targets the host CPU, so a cache shared by two machines holds
+    # one library per CPU; a rebuild removes only the libraries of earlier
+    # sources, whatever CPU they were built for.
+    _copy_library_as_compiler(monkeypatch)
+    cache = tmp_path / "__pycache__"
+    cache.mkdir()
+    stale = cache / f"_kernels.{'0' * 64}.{'1' * 16}.so"
+    stale.write_bytes(b"")
+    built = []
+    for cpu in ("fpu sse2 avx2", "fpu sse2 avx512f"):
+        monkeypatch.setattr(sweeps, "_cpu_features", lambda cpu=cpu: cpu)
+        kernels = sweeps._load_kernels(str(cache))
+        assert kernels is not None and kernels.draw(7, 3) == oracle._draw(7, 3)
+        built.append(kernels._name)
+        assert not stale.exists()
+    assert built[0] != built[1]
+    assert sorted(str(p) for p in cache.iterdir()) == sorted(built)
+    assert len({Path(name).name.split(".")[1] for name in built}) == 1  # one source hash
+
+
+@needs_compiled
+def test_compiler_that_rejects_march_native_builds_once_more(monkeypatch, tmp_path):
+    copy = _copy_library_as_compiler(monkeypatch)
+    calls = []
+
+    def compile_(cmd, **kwargs):
+        calls.append(cmd)
+        if "-march=native" in cmd:
+            return subprocess.CompletedProcess(cmd, 1, "", "error: unknown target CPU 'native'")
+        return copy(cmd, **kwargs)
+
+    monkeypatch.setattr(sweeps.subprocess, "run", compile_)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the retry that builds says nothing
+        kernels = sweeps._load_kernels(str(tmp_path / "__pycache__"))
+    assert kernels is not None and kernels.draw(7, 3) == oracle._draw(7, 3)
+    assert len(calls) == 2
+    assert [c for c in calls[0] if c != "-march=native"] == calls[1]
+
+
+@needs_compiled
+def test_no_cpu_feature_list_builds_the_portable_library(monkeypatch, tmp_path):
+    # Machine and processor names do not name the ISA (every Intel Mac says
+    # x86_64 i386), so without a feature list the build targets no CPU.
+    copy = _copy_library_as_compiler(monkeypatch)
+    calls = []
+
+    def compile_(cmd, **kwargs):
+        calls.append(cmd)
+        return copy(cmd, **kwargs)
+
+    monkeypatch.setattr(sweeps.subprocess, "run", compile_)
+    monkeypatch.setattr(sweeps, "_cpu_features", lambda: None)
+    kernels = sweeps._load_kernels(str(tmp_path / "__pycache__"))
+    assert kernels is not None and kernels.draw(7, 3) == oracle._draw(7, 3)
+    assert len(calls) == 1 and "-march=native" not in calls[0]
+    assert Path(kernels._name).name.endswith(".generic.so")
 
 
 def test_no_compiler_means_pure_backend(monkeypatch, tmp_path):
@@ -218,19 +285,27 @@ def test_every_unit_has_a_kernel():
 
 with open(sweeps._KERNELS_C) as _f:
     _SOURCE = _f.read()
-# SWEEP(unit, arity, usual, top): one line per unit, in UNITS order.
-_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), ([^,]*), (\d+)\)", _SOURCE, re.M)
-_TOP = {unit: int(top) for unit, _, _, top in _SWEEP_LINES}
+# SWEEP(unit, arity, usual, top, xtop): one line per unit, in UNITS order.
+_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), ([^,]*), (\d+), (\d+)\)", _SOURCE, re.M)
+_TOP = {unit: int(top) for unit, _, _, top, _ in _SWEEP_LINES}
+_XTOP = {unit: int(xtop) for unit, _, _, _, xtop in _SWEEP_LINES}
 _UNSPECIALIZED = {"compressor"}  # its case has no division for a constant n to save
 
 
+def _exhaustive_cases(unit, n, p=0):
+    fields, _ = sweeps.UNITS[unit].build(Params(n, p))
+    return math.prod(f.span for f in fields)
+
+
 def test_sweep_lines_declare_the_spec_shape():
-    # A SWEEP(unit, arity, usual, top) line whose usual shape drifts from the spec
-    # still gives right reports, but through the slower general case loop.  So
-    # does a width past top; width arms past max_n are dead code.
+    # A SWEEP(unit, arity, usual, top, xtop) line whose usual shape drifts from
+    # the spec still gives right reports, but through the slower general case
+    # loop.  So does a width past top, or an exhaustive sweep past xtop; width
+    # arms past max_n are dead code, and so are exhaustive loops of arms whose
+    # usual case space is too large to sweep.
     based = 1 << int(re.search(r"#define MAX_FIELDS (\d+)", _SOURCE).group(1))
-    assert [unit for unit, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
-    for unit, arity, usual, top in _SWEEP_LINES:
+    assert [unit for unit, _, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
+    for unit, arity, usual, top, xtop in _SWEEP_LINES:
         declared = sum(based if t == "BASED" else int(t.rstrip("u"))
                        for t in usual.replace(" ", "").split("|"))
         spec = sweeps.UNITS[unit]
@@ -240,23 +315,150 @@ def test_sweep_lines_declare_the_spec_shape():
             shape |= based if any(f.base for f in fields) else 0
             assert (len(fields), shape) == (int(arity), declared), (unit, n)
         assert int(top) == (0 if unit in _UNSPECIALIZED else spec.max_n), unit
+        assert int(xtop) == max([n for n in range(2, int(top) + 1)
+                                 if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
     assert [int(k) for k in arms] == list(range(2, max(_TOP.values()) + 1))
+
+
+_BLOCK = int(re.search(r"^#define BLOCK (\d+)", _SOURCE, re.M).group(1))
+_PURE_EXHAUSTIVE_CASES = 300_000  # the widest exhaustive sweep a parity test runs pure
+
+
+def _pure_and_compiled(unit, n, **kw):
+    """The pure report of one sweep, minus wall time, checked equal to the compiled one."""
+    reports = [sweeps.run_verify(unit, n, force_pure=force_pure, **kw).to_dict()
+               for force_pure in (True, False)]
+    for report in reports:
+        report.pop("wall_time_s")
+    assert reports[0] == reports[1], (unit, n, kw)
+    return reports[0]
+
+
+def _exhaustive_chunks_match_pure(unit, n, p=0, starts=None):
+    """Failures in chunks of 1,000 cases of an exhaustive sweep, at its start,
+    middle and end (or at `starts`), each checked equal to the pure engine's
+    (failures, first index); 0 when the sweep has too many cases to index."""
+    params = Params(n, p)
+    fields, case = sweeps.UNITS[unit].build(params)
+    total = math.prod(f.span for f in fields)
+    if total > sys.maxsize:
+        return 0
+    run = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
+    failures = 0
+    for lo in starts or sorted({0, total // 2, max(0, total - 1000)}):
+        # Each case decoded on its own: oracle.sweep would step to lo one case at a time.
+        bad = [idx for idx in range(lo, min(total, lo + 1000))
+               if operator.ne(*case(*oracle._case_at(fields, "exhaustive", 0, idx)))]
+        assert run(lo, min(total, lo + 1000)) == (len(bad), bad[0] if bad else -1), (unit, n, lo)
+        failures += len(bad)
+    return failures
 
 
 @needs_compiled
 @pytest.mark.parametrize("unit", [unit for unit in _TOP if _TOP[unit]])
 def test_every_width_arm_matches_pure_reports(unit):
-    # Each width 2..top runs its own compiled case loop, with n a constant.
+    # Each width 2..top runs its own compiled case loop, with n a constant; its
+    # exhaustive loop, up to xtop, runs in vectorised blocks of cases.
     for n in range(2, _TOP[unit] + 1):
         for p in (0, n) if sweeps.UNITS[unit].reads_p else (0,):
-            reports = [sweeps.run_verify(unit, n, p=p, mode="random", samples=300, seed=3,
-                                         force_pure=force_pure).to_dict()
-                       for force_pure in (True, False)]
-            for report in reports:
-                report.pop("wall_time_s")
-            assert reports[0] == reports[1], (unit, n, p)
-            assert reports[0]["failures"] == 0, (unit, n, p)
+            report = _pure_and_compiled(unit, n, p=p, mode="random", samples=300, seed=3)
+            assert report["failures"] == 0, (unit, n, p)
+            if _exhaustive_cases(unit, n, p) <= _PURE_EXHAUSTIVE_CASES:
+                assert _pure_and_compiled(unit, n, p=p)["failures"] == 0, (unit, n, p)
+            assert _exhaustive_chunks_match_pure(unit, n, p) == 0, (unit, n, p)
+
+
+def _widened(spec, spans):
+    """The unit `spec` with the span of each field named in `spans` set to spans[name](n)."""
+    def build(params):
+        fields, case = spec.build(params)
+        return tuple(f._replace(span=spans[f.name](params.n)) if f.name in spans else f
+                     for f in fields), case
+
+    return spec._replace(build=build)
+
+
+# Fields widened so that each unit keeps its usual shape (a span that is a
+# power of two stays one): within the bits its compiled case assumes, so a
+# width arm runs them, or past them, so the general loop does.  Some plant
+# faults; the adder's x and csa's z2 stay exact.  (The compressor's op
+# rejects wider words, so it has no plant.)
+_WIDENED = {
+    "adder": [{"carry": lambda n: 4}, {"x": lambda n: (1 << 2 * n + 1) - 1},
+              {"x": lambda n: (1 << 2 * n + 1) + 1}],
+    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1}, {"y": lambda n: (1 << 2 * n + 1) + 1}],
+    "checkpoint": [{"y": lambda n: 1 << 2 * n + 1}],
+    "csa": [{"z2": lambda n: 1 << n + 1},
+            {"z1": lambda n: 1 << 2 * n + 1, "z0": lambda n: 1 << 2 * n + 1}],
+    "normalize": [{"borrow": lambda n: 4}, {"i": lambda n: 1 << n + 2}],
+}
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", list(_WIDENED))
+def test_widened_specs_match_pure_reports(monkeypatch, unit):
+    # A width arm checks once per call that every field fits the bits its
+    # remainders assume; the reports must not show which loop ran.
+    real, failures = sweeps.UNITS[unit], 0
+    for spans in _WIDENED[unit]:
+        monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
+        for n in range(2, _TOP[unit] + 1):
+            failures += _pure_and_compiled(unit, n, mode="random", samples=300,
+                                           seed=3)["failures"]
+            if _exhaustive_cases(unit, n) <= _PURE_EXHAUSTIVE_CASES:
+                failures += _pure_and_compiled(unit, n)["failures"]
+            failures += _exhaustive_chunks_match_pure(unit, n)
+    assert failures
+
+
+@needs_compiled
+def test_fields_past_the_32_bit_remainders_stay_exact(monkeypatch):
+    # An adder x past 2^33 breaks the 32-bit remainders of the width 9 arm's
+    # blocked loop, so the spec must run the general loop.  (At n = 9 the
+    # kernel is exact for such an x; at n <= 8 its borrow field passes m.)
+    monkeypatch.setitem(sweeps.UNITS, "adder",
+                        _widened(sweeps.UNITS["adder"], {"x": lambda n: (1 << 33) + 1}))
+    assert _exhaustive_chunks_match_pure("adder", 9) == 0
+
+
+@needs_compiled
+def test_folded_remainders_reach_their_second_subtraction():
+    # A blocked loop reduces a forward z past 32 bits (n >= 7) as z0 - z1 + z2 + m,
+    # z = z2 2^4n + z1 2^2n + z0, which reaches 2m only where z1 = 0 and z0 + z2
+    # passes 2^2n: some of the 1,000 cases below z = (2^n - 1) 2^4n + 2^2n.
+    for n in range(7, _XTOP["forward"] + 1):
+        start = (((1 << n) - 1) << 4 * n) + (1 << 2 * n) - 1000
+        assert _exhaustive_chunks_match_pure("forward", n, starts=[start]) == 0, n
+
+
+# Multiplier faults planted in a blocked exhaustive loop, whose first failure
+# lies past the first block; y runs over 257 cases (2^8 + 1) or 511 (planted).
+@needs_compiled
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
+    unit, n = "multiplier", 4
+    monkeypatch.setitem(sweeps.UNITS, unit,
+                        _widened(sweeps.UNITS[unit], {name: lambda n: (1 << 2 * n + 1) - 1}))
+    monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep both chunks
+    params = Params(n)
+    fields, case = sweeps.UNITS[unit].build(params)
+    run = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
+    total = oracle.case_count(fields, "exhaustive", 0, 0)
+    first = run(0, total)[1]
+    assert first >= _BLOCK
+    # The first failure as the last case of a chunk's first block, the first of
+    # its second block and the chunk's own last case; then chunks that start
+    # and end mid-block.
+    for lo, hi in [(first - _BLOCK + 1, first + _BLOCK), (first - _BLOCK, first + _BLOCK),
+                   (first - 300, first + 1), (first - 100, total - 77), (77, first - 100)]:
+        assert run(lo, hi) == oracle.sweep(fields, case, "exhaustive", 0, lo, hi), (lo, hi)
+    reports = [sweeps.run_verify(unit, n, workers=workers, force_pure=force_pure).to_dict()
+               for force_pure, workers in [(True, 1), (False, 1), (False, 2)]]
+    for report in reports:
+        report.pop("wall_time_s")
+    assert reports[0] == reports[1] == reports[2]
+    assert reports[0]["failures"] > 0
 
 
 _PARITY = [(unit, n, 0, mode) for unit in ("csa", "normalize")
