@@ -6,9 +6,11 @@
  * significant) in blocks of cases; a random sweep gives field f of case k
  * the value base + draw(seed, 8k + slot) mod span.  Each case function
  * mirrors its unit's Python dataflow and returns whether the case is a
- * mismatch.  The case functions have no branches gcc cannot turn into
- * selects, so an exhaustive loop over a block of cases runs several cases
- * per vector instruction.  Internal helpers are static so the case loop
+ * mismatch.  A kernel runs only the specs whose fields fit the bits its
+ * case function computes exactly; it declines any other, which then runs
+ * on the pure-Python engine.  The case functions have no branches gcc
+ * cannot turn into selects, so an exhaustive loop over a block of cases
+ * runs several cases per vector instruction.  Internal helpers are static so the case loop
  * never calls through the PLT; the exported helpers exist for parity tests.
  */
 
@@ -28,20 +30,18 @@
 typedef unsigned __int128 u128;
 
 /* Per-sweep constants; the roundtrip ones come from its kernel arguments.
- * wide: the field values are unchecked, so mod_m reduces in full width;
  * lanes: the case runs in the vectorised block loop. */
 struct ctx {
-    int n, p, wide, lanes;
+    int n, p, lanes;
     uint64_t m, mask;              /* 2^2n + 1, 2^n - 1 */
     uint64_t m2, m3, tail;         /* 2^n - 1, 2^n + 1, m2*m3*m */
     int64_t mu1, mu2, mu3;         /* New-CRT coefficients */
 };
 
-INLINE struct ctx ctx_make(int n, const int64_t *args, int wide)
+INLINE struct ctx ctx_make(int n, const int64_t *args)
 {
     struct ctx c;
     c.n = n;
-    c.wide = wide;
     c.lanes = 0;
     c.p = (int)args[0];
     c.m = ((uint64_t)1 << (2 * n)) + 1;
@@ -56,27 +56,27 @@ INLINE struct ctx ctx_make(int n, const int64_t *args, int wide)
 }
 
 /* a % c->m for a < 2^bits, where bits follows from n and the field bounds
- * of the case function (its <unit>_bits).  In a width arm n, and so bits,
- * is a constant and the tests fold away.  The block loop (lanes) reduces
- * in ways that vectorise, as a 64-bit remainder does not: below 2^32 by a
- * 32-bit remainder, below 2^64 (and 2^6n) by folding end-around (2^2n = -1
- * mod m) to below 3m and subtracting m at most twice.  A scalar loop takes a 64-bit
- * remainder, because gcc turns some 32-bit ones into longer shift-add
- * chains, and u128 only for an a past 64 bits.  A general loop (wide)
- * trusts no bound and tests a itself. */
+ * of the case function (its <unit>_bits), which every spec a kernel runs
+ * keeps.  In a width arm n, and so bits, is a constant and the tests fold
+ * away.  The block loop (lanes) reduces in ways that vectorise, as a 64-bit
+ * remainder does not: below 2^32 by a 32-bit remainder, below 2^64 (and
+ * 2^6n) by folding end-around (2^2n = -1 mod m) to below 3m and subtracting
+ * m at most twice.  A scalar loop takes a 64-bit remainder, because gcc
+ * turns some 32-bit ones into longer shift-add chains, and u128 only for
+ * an a past 64 bits. */
 INLINE uint64_t mod_m(const struct ctx *c, u128 a, int bits)
 {
     int w = 2 * c->n;
-    if (!c->wide && c->lanes && bits <= 32)
+    if (c->lanes && bits <= 32)
         return (uint32_t)a % (uint32_t)c->m;
-    if (!c->wide && c->lanes && bits <= 64 && bits <= 3 * w) {
+    if (c->lanes && bits <= 64 && bits <= 3 * w) {
         uint64_t low = (uint64_t)a, wmask = c->m - 2;
         uint64_t t = (low & wmask) + (bits > 2 * w ? low >> (2 * w) : 0) + c->m
                      - ((low >> w) & wmask);
         t -= 2 * c->m & -(uint64_t)(t >= 2 * c->m);
         return t - (c->m & -(uint64_t)(t >= c->m));
     }
-    if (!c->wide && bits <= 64)
+    if (bits <= 64)
         return (uint64_t)a % c->m;
     return a >> 64 ? (uint64_t)(a % c->m) : (uint64_t)a % c->m;
 }
@@ -187,9 +187,10 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
 
 /* --- case functions: field values in spec order, nonzero on a mismatch -----
  *
- * <unit>_bits sets, per field, the bits below which the case function's
- * mod_m bounds hold at width n (63 assumes nothing); a spec with a field
- * past them runs the general loop, whose mod_m reduces in full width. */
+ * <unit>_bits sets, per field, the bits below which the case function
+ * computes what its unit's Python dataflow does at width n: its mod_m
+ * bounds hold and no word passes 64 bits.  A kernel declines a spec with a
+ * field past them. */
 
 INLINE void adder_bits(int n, int *bits)
 {
@@ -273,8 +274,8 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
 
 INLINE void compressor_bits(int n, int *bits)
 {
-    (void)n;
-    bits[0] = bits[1] = bits[2] = bits[3] = bits[4] = bits[5] = 63;
+    bits[0] = bits[1] = bits[2] = bits[3] = n;  /* a, b, c, d: alu.compress42 rejects more */
+    bits[4] = bits[5] = 1;                      /* t_in, v_in */
 }
 
 INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
@@ -286,7 +287,8 @@ INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
 
 INLINE void csa_bits(int n, int *bits)
 {
-    bits[0] = bits[1] = bits[2] = 2 * n;  /* z1, z0; z2 with slack */
+    bits[0] = 2 * n;                  /* z2 with slack */
+    bits[1] = bits[2] = 2 * n + 1;    /* z1, z0 past 2^2n: a sum past 64 bits at n = 31 */
 }
 
 INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
@@ -294,7 +296,7 @@ INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
     uint64_t z2 = v[0], z1 = v[1], z0 = v[2], wmask = c->m - 2, w;
     uint64_t u = csa22n1(c->n, z2, z1, z0, &w);
     return mod_m(c, u + w, 2 * c->n + 2)
-           != mod_m(c, z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 2);
+           != mod_m(c, (u128)z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 3);
 }
 
 INLINE void normalize_bits(int n, int *bits)
@@ -427,12 +429,12 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
 /* One arm of the width switch: the case loop with n, and so every modulus,
  * mask and shift derived from it, a compile-time constant, which turns each
  * % by a modulus into a multiply and a shift.  An arm past the unit's
- * widest specialized width `top` is dead code, dropped before inlining; one
- * past `xtop` runs only random sweeps, so its exhaustive loop is dropped. */
+ * largest width `top` is dead code, dropped before inlining; one past
+ * `xtop` runs only random sweeps, so its exhaustive loop is dropped. */
 #define ARM(k, unit, arity, usual, top, xtop)                                       \
     case k:                                                                         \
         if (k <= (top) && (random || k <= (xtop))) {                                \
-            struct ctx ck = ctx_make(k, args, 0);                                   \
+            struct ctx ck = ctx_make(k, args);                                      \
             run_cases(&ck, unit##_bad, arity, usual, span, base, slot,              \
                       k <= (xtop) ? random : 1, seed, lo, hi, out);                 \
             return 0;                                                               \
@@ -451,34 +453,35 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(31, __VA_ARGS__)
 
 /* sweep_<unit>: returns -1 when the spec's field count is not the case
- * function's.  A spec of the unit's usual shape whose fields fit <unit>_bits
- * runs a case loop specialized to it, and at widths 2..top (2..xtop for an
- * exhaustive sweep) also to n; any other spec (say, a shifted base) runs the
- * general one.  top is the unit's Unit.max_n, or 0 where a constant n gains
- * nothing because the case has no division.  xtop is the widest n, at most
- * top, whose usual case space has fewer than 2^63 cases, the most an
- * exhaustive sweep indexes: a wider one can only be a narrowed spec. */
+ * function's, and 1, running nothing, when a field passes <unit>_bits.  A
+ * spec of the unit's usual shape runs a case loop specialized to it and to
+ * n, in the width arms 2..top (2..xtop for an exhaustive sweep); any other
+ * spec (say, a shifted base or a narrowed span) runs one general loop.  top
+ * is the unit's Unit.max_n.  xtop is the largest n, at most top, whose usual
+ * case space has fewer than 2^63 cases, the most an exhaustive sweep
+ * indexes: a larger one can only be a narrowed spec. */
 #define SWEEP(unit, arity, usual, top, xtop)                                        \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
     {                                                                               \
-        struct ctx c = ctx_make(n, args, 1);                                        \
+        struct ctx c;                                                               \
         unsigned shape;                                                             \
         int bits[arity];                                                            \
         if (nf != arity)                                                            \
             return -1;                                                              \
-        shape = shape_of(nf, span, base);                                           \
         unit##_bits(n, bits);                                                       \
-        if (shape == (usual) && fields_fit(nf, span, base, bits)) {                 \
+        if (!fields_fit(nf, span, base, bits))                                      \
+            return 1;                                                               \
+        shape = shape_of(nf, span, base);                                           \
+        if (shape == (usual)) {                                                     \
             switch (n) {                                                            \
                 ARMS(unit, arity, usual, top, xtop)                                 \
             }                                                                       \
-            run_cases(&c, unit##_bad, arity, usual, span, base, slot, random,       \
-                      seed, lo, hi, out);                                           \
-        } else                                                                      \
-            run_cases(&c, unit##_bad, arity, shape, span, base, slot, random,       \
-                      seed, lo, hi, out);                                           \
+        }                                                                           \
+        c = ctx_make(n, args);                                                      \
+        run_cases(&c, unit##_bad, arity, shape, span, base, slot, random, seed,     \
+                  lo, hi, out);                                                     \
         return 0;                                                                   \
     }
 
@@ -487,7 +490,7 @@ SWEEP(multiplier, 2, 3u, 31, 15)     /* x, y span 2^2n + 1 */
 SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1 */
 SWEEP(forward, 1, 1u, 12, 12)
 SWEEP(roundtrip, 1, 1u, 10, 10)
-SWEEP(compressor, 6, 0u, 0, 0)
+SWEEP(compressor, 6, 0u, 31, 15)
 SWEEP(csa, 3, 0u, 31, 12)
 SWEEP(normalize, 4, 0u, 31, 30)
 

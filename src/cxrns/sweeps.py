@@ -3,9 +3,9 @@
 A sweep runs one unit over an exhaustive index space or a seeded random
 stream, counts mismatches against plain modular arithmetic, and reports
 the lowest failing case.  Hot sweeps dispatch to the compiled kernels of
-``_kernels.c`` (when a C compiler built them and the unit fits 64-bit
-math at the requested width); everything falls back to the pure-Python
-case engine of ``oracle``.
+``_kernels.c`` (when a C compiler built them, the width is at most the
+unit's ``max_n`` and the spec's fields fit the kernel's bounds);
+everything else runs on the pure-Python case engine of ``oracle``.
 
 Each unit is one entry of ``UNITS``: its input fields and a case function
 that runs the device under test.  The case space, both decoders, the pure
@@ -64,8 +64,10 @@ class Unit(NamedTuple):
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
     The ``sweep_<unit>`` export of ``_kernels.c`` runs the same fields
-    through its own case function at widths up to ``max_n``;
-    ``kernel_args(n, p)`` gives the kernel's extra arguments.
+    through its own case function at widths up to ``max_n``, for specs
+    whose fields fit the bits that case function computes exactly; every
+    other sweep runs on the pure engine.  ``kernel_args(n, p)`` gives the
+    kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
 
@@ -308,26 +310,33 @@ def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable
             mode: str, seed: int, force_pure: bool) -> Callable[[int, int], tuple[int, int]]:
     """run(lo, hi): sweep cases [lo, hi), return (failures, first failing index or -1).
 
-    A kernel call releases the GIL, so compiled runs of disjoint ranges run
-    in parallel threads.
+    The unit's kernel runs the sweep only where it computes it exactly.
+    Asked once with an empty range, it declines (returns 1) a spec with a
+    field past the bits its case function assumes; a span or a largest
+    value past 2^64 - 1, which ctypes would wrap without an error, never
+    reaches it.  Everything else runs on the pure engine.  A kernel call releases the
+    GIL, so compiled runs of disjoint ranges run in parallel threads.
     """
-    if not _runs_compiled(unit, params.n, force_pure):
-        return functools.partial(sweep, fields, case, mode, seed)
-    spec = UNITS[unit]
-    kernel = getattr(_C, f"sweep_{unit}")
-    column = _U64 * len(fields)
-    args = (params.n, (_I64 * 4)(*spec.kernel_args(params.n, params.p)), len(fields),
-            column(*(f.span for f in fields)), column(*(f.base for f in fields)),
-            column(*(f.slot for f in fields)), mode == "random", seed)
-
-    def run(lo: int, hi: int) -> tuple[int, int]:
-        out = (_I64 * 2)()
-        if kernel(*args, lo, hi, out):
+    if _runs_compiled(unit, params.n, force_pure) and all(
+            max(f.span, f.base + f.span - 1) < 1 << 64 for f in fields):
+        kernel = getattr(_C, f"sweep_{unit}")
+        column = _U64 * len(fields)
+        args = (params.n, (_I64 * 4)(*UNITS[unit].kernel_args(params.n, params.p)),
+                len(fields), column(*(f.span for f in fields)),
+                column(*(f.base for f in fields)), column(*(f.slot for f in fields)),
+                mode == "random", seed)
+        status = kernel(*args, 0, 0, (_I64 * 2)())
+        if status < 0:
             raise RuntimeError(f"the {unit} kernel takes a different number of "
                                f"fields than the {unit} spec")
-        return out[0], out[1]
+        if status == 0:
+            def run(lo: int, hi: int) -> tuple[int, int]:
+                out = (_I64 * 2)()
+                kernel(*args, lo, hi, out)
+                return out[0], out[1]
 
-    return run
+            return run
+    return functools.partial(sweep, fields, case, mode, seed)
 
 
 def _split(total: int, workers: int) -> list[tuple[int, int]]:

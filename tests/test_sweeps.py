@@ -236,15 +236,12 @@ def test_failed_compile_warns_with_compiler_output(monkeypatch, tmp_path):
 
 @needs_compiled
 def test_missing_export_warns_and_means_pure_backend(monkeypatch, tmp_path):
-    # The one loader test that runs the compiler on (a trimmed) _kernels.c.
-    with open(sweeps._KERNELS_C) as f:
-        lines = f.readlines()
-    trimmed = tmp_path / "_kernels.c"
-    trimmed.write_text("".join(line for line in lines
-                               if not line.startswith("SWEEP(normalize,")))
-    assert len(trimmed.read_text().splitlines()) == len(lines) - 1
-    monkeypatch.setattr(sweeps, "_KERNELS_C", str(trimmed))
-    with pytest.warns(RuntimeWarning, match="sweep_normalize"):
+    # The compiler builds a few lines that define every export but one.
+    source = tmp_path / "_kernels.c"
+    source.write_text("".join(f"int {name}(void) {{ return 0; }}\n"
+                              for name in sweeps._SIGNATURES if name != "sweep_normalize"))
+    monkeypatch.setattr(sweeps, "_KERNELS_C", str(source))
+    with pytest.warns(RuntimeWarning, match="has no export sweep_normalize,"):
         assert sweeps._load_kernels(str(tmp_path / "__pycache__")) is None
 
 
@@ -289,7 +286,6 @@ with open(sweeps._KERNELS_C) as _f:
 _SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), ([^,]*), (\d+), (\d+)\)", _SOURCE, re.M)
 _TOP = {unit: int(top) for unit, _, _, top, _ in _SWEEP_LINES}
 _XTOP = {unit: int(xtop) for unit, _, _, _, xtop in _SWEEP_LINES}
-_UNSPECIALIZED = {"compressor"}  # its case has no division for a constant n to save
 
 
 def _exhaustive_cases(unit, n, p=0):
@@ -314,7 +310,7 @@ def test_sweep_lines_declare_the_spec_shape():
             shape = sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1))
             shape |= based if any(f.base for f in fields) else 0
             assert (len(fields), shape) == (int(arity), declared), (unit, n)
-        assert int(top) == (0 if unit in _UNSPECIALIZED else spec.max_n), unit
+        assert int(top) == spec.max_n, unit
         assert int(xtop) == max([n for n in range(2, int(top) + 1)
                                  if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
@@ -325,8 +321,24 @@ _BLOCK = int(re.search(r"^#define BLOCK (\d+)", _SOURCE, re.M).group(1))
 _PURE_EXHAUSTIVE_CASES = 300_000  # the widest exhaustive sweep a parity test runs pure
 
 
-def _pure_and_compiled(unit, n, **kw):
-    """The pure report of one sweep, minus wall time, checked equal to the compiled one."""
+def _kernel_status(unit, n, p=0):
+    """What sweep_<unit> returns, asked with an empty case range, for the
+    unit's spec at width n: 0 when it runs the spec, 1 when it declines it."""
+    spec = sweeps.UNITS[unit]
+    fields, _ = spec.build(Params(n, p))
+    column = ctypes.c_uint64 * len(fields)
+    return getattr(sweeps._C, f"sweep_{unit}")(
+        n, (ctypes.c_int64 * 4)(*spec.kernel_args(n, p)), len(fields),
+        column(*(f.span for f in fields)), column(*(f.base for f in fields)),
+        column(*(f.slot for f in fields)), 1, 0, 0, 0, (ctypes.c_int64 * 2)())
+
+
+def _pure_and_compiled(unit, n, status=0, **kw):
+    """The pure report of one sweep, minus wall time, checked equal to the one
+    without force_pure, after checking that the kernel returns `status` for
+    the spec: 0 when it runs it, 1 when the sweep runs pure (None: not asked)."""
+    if status is not None:
+        assert _kernel_status(unit, n, kw.get("p", 0)) == status, (unit, n, kw)
     reports = [sweeps.run_verify(unit, n, force_pure=force_pure, **kw).to_dict()
                for force_pure in (True, False)]
     for report in reports:
@@ -344,6 +356,7 @@ def _exhaustive_chunks_match_pure(unit, n, p=0, starts=None):
     total = math.prod(f.span for f in fields)
     if total > sys.maxsize:
         return 0
+    assert _kernel_status(unit, n, p) == 0, (unit, n, p)
     run = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
     failures = 0
     for lo in starts or sorted({0, total // 2, max(0, total - 1000)}):
@@ -356,7 +369,7 @@ def _exhaustive_chunks_match_pure(unit, n, p=0, starts=None):
 
 
 @needs_compiled
-@pytest.mark.parametrize("unit", [unit for unit in _TOP if _TOP[unit]])
+@pytest.mark.parametrize("unit", list(_TOP))
 def test_every_width_arm_matches_pure_reports(unit):
     # Each width 2..top runs its own compiled case loop, with n a constant; its
     # exhaustive loop, up to xtop, runs in vectorised blocks of cases.
@@ -380,26 +393,38 @@ def _widened(spec, spans):
 
 
 # Fields widened so that each unit keeps its usual shape (a span that is a
-# power of two stays one): within the bits its compiled case assumes, so a
-# width arm runs them, or past them, so the general loop does.  Some plant
-# faults; the adder's x and csa's z2 stay exact.  (The compressor's op
-# rejects wider words, so it has no plant.)
+# power of two stays one), within the bits its compiled case computes
+# exactly, so that the width arms run them; the last entry of each unit
+# fills every field's bits.  Some plant faults; the adder's x and csa's z2
+# stay exact.  (The compressor's op rejects wider words, so it has no plant.)
+_STATE = {"i": lambda n: 1 << n, "r": lambda n: 1 << n,  # every state field at n bits
+          "carry": lambda n: 1 << n, "borrow": lambda n: 1 << n}
 _WIDENED = {
     "adder": [{"carry": lambda n: 4}, {"x": lambda n: (1 << 2 * n + 1) - 1},
-              {"x": lambda n: (1 << 2 * n + 1) + 1}],
-    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1}, {"y": lambda n: (1 << 2 * n + 1) + 1}],
-    "checkpoint": [{"y": lambda n: 1 << 2 * n + 1}],
+              {"x": lambda n: 1 << 2 * n + 1, **_STATE}],
+    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},
+                   {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],
+    "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1, "y": lambda n: (1 << 2 * n + 1) - 1}],
     "csa": [{"z2": lambda n: 1 << n + 1},
-            {"z1": lambda n: 1 << 2 * n + 1, "z0": lambda n: 1 << 2 * n + 1}],
-    "normalize": [{"borrow": lambda n: 4}, {"i": lambda n: 1 << n + 2}],
+            {"z2": lambda n: 1 << 2 * n, "z1": lambda n: 1 << 2 * n + 1,
+             "z0": lambda n: 1 << 2 * n + 1}],
+    "normalize": [{"borrow": lambda n: 4}, _STATE],
+}
+# Fields widened one value past those bits, at every width.
+_PAST_THE_BITS = {
+    "adder": [{"x": lambda n: (1 << 2 * n + 1) + 1}],
+    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) + 1}],
+    "checkpoint": [{"y": lambda n: 1 << 2 * n + 1}],
+    "csa": [{"z1": lambda n: (1 << 2 * n + 1) + 1, "z0": lambda n: (1 << 2 * n + 1) + 1}],
+    "normalize": [{"i": lambda n: 1 << n + 2}],
 }
 
 
 @needs_compiled
 @pytest.mark.parametrize("unit", list(_WIDENED))
 def test_widened_specs_match_pure_reports(monkeypatch, unit):
-    # A width arm checks once per call that every field fits the bits its
-    # remainders assume; the reports must not show which loop ran.
+    # A kernel checks once per sweep that every field fits the bits its case
+    # assumes; the width arms then run fields up to those bits exactly.
     real, failures = sweeps.UNITS[unit], 0
     for spans in _WIDENED[unit]:
         monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
@@ -413,13 +438,65 @@ def test_widened_specs_match_pure_reports(monkeypatch, unit):
 
 
 @needs_compiled
-def test_fields_past_the_32_bit_remainders_stay_exact(monkeypatch):
-    # An adder x past 2^33 breaks the 32-bit remainders of the width 9 arm's
-    # blocked loop, so the spec must run the general loop.  (At n = 9 the
-    # kernel is exact for such an x; at n <= 8 its borrow field passes m.)
+@pytest.mark.parametrize("unit", list(_PAST_THE_BITS))
+def test_specs_past_the_kernel_bits_run_pure(monkeypatch, unit):
+    # A kernel declines a field past its bits, so the sweep runs on the pure
+    # engine whatever the backend asked for.
+    real = sweeps.UNITS[unit]
+    for spans in _PAST_THE_BITS[unit]:
+        monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
+        for n in range(2, _TOP[unit] + 1):
+            _pure_and_compiled(unit, n, status=1, mode="random", samples=300, seed=3)
+
+
+@needs_compiled
+def test_adder_x_far_past_2_to_the_2n_runs_pure(monkeypatch):
+    # An x spanning 2^33 + 1 leaves the adder's borrow field past m, which the
+    # compiled case's uint64 arithmetic wraps: run compiled, it gave 300, 300
+    # and 67 failures at n = 2, 5 and 8, where the pure engine finds none.
     monkeypatch.setitem(sweeps.UNITS, "adder",
                         _widened(sweeps.UNITS["adder"], {"x": lambda n: (1 << 33) + 1}))
-    assert _exhaustive_chunks_match_pure("adder", 9) == 0
+    for n in (2, 5, 8, 9):
+        assert _pure_and_compiled("adder", n, status=1, mode="random", samples=300,
+                                  seed=3)["failures"] == 0, n
+
+
+@needs_compiled
+def test_spans_past_64_bits_run_pure(monkeypatch):
+    # ctypes wraps a span past 2^64 - 1 into a uint64 without an error, so
+    # such a spec never reaches the kernel: wrapped, these spans gave 0
+    # failures where the pure engine finds all but a few of the cases bad.
+    def span(n):
+        return 64 * ((1 << 2 * n) + 1) + 1
+
+    monkeypatch.setitem(sweeps.UNITS, "multiplier",
+                        _widened(sweeps.UNITS["multiplier"], {"x": span, "y": span}))
+    for n, failures in [(29, 2997), (30, 2998), (31, 2999)]:
+        assert span(n) >= 1 << 64
+        report = _pure_and_compiled("multiplier", n, status=None, mode="random",
+                                    samples=3000, seed=5)
+        assert report["failures"] == failures, n
+
+
+def _based(spec):
+    """The unit `spec` with every base set to 1 and every span one smaller: no
+    largest value grows, so the kernel runs the spec, in its general loop."""
+    def build(params):
+        fields, case = spec.build(params)
+        return tuple(f._replace(base=1, span=f.span - 1) for f in fields), case
+
+    return spec._replace(build=build)
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", list(sweeps.UNITS))
+def test_general_loop_matches_pure_reports(monkeypatch, unit):
+    # Every base is 1, which no usual shape but checkpoint's has, and
+    # checkpoint's spans are no longer powers of two: no width arm runs these.
+    monkeypatch.setitem(sweeps.UNITS, unit, _based(sweeps.UNITS[unit]))
+    for n in range(2, _TOP[unit] + 1):
+        _pure_and_compiled(unit, n, mode="random", samples=300, seed=3)
+        _exhaustive_chunks_match_pure(unit, n)
 
 
 @needs_compiled
@@ -443,6 +520,7 @@ def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep both chunks
     params = Params(n)
     fields, case = sweeps.UNITS[unit].build(params)
+    assert _kernel_status(unit, n) == 0
     run = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
     total = oracle.case_count(fields, "exhaustive", 0, 0)
     first = run(0, total)[1]
@@ -593,6 +671,7 @@ def _planted_reports(monkeypatch, unit, names, n, mode):
 
     monkeypatch.setitem(sweeps.UNITS, unit, spec._replace(build=shifted))
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
+    assert _kernel_status(unit, n) == 0  # the kernel runs the planted spec
     reports = [sweeps.run_verify(unit, n, mode=mode, samples=20_000, seed=7,
                                  workers=workers, force_pure=force_pure)
                for force_pure in (True, False) for workers in (1, 2, 5)]
