@@ -6,12 +6,13 @@
  * significant) in blocks of cases; a random sweep gives field f of case k
  * the value base + draw(seed, 8k + slot) mod span.  Each case function
  * mirrors its unit's Python dataflow and returns whether the case is a
- * mismatch.  A kernel runs only the specs whose fields fit the bits its
- * case function computes exactly; it declines any other, which then runs
- * on the pure-Python engine.  The case functions have no branches gcc
- * cannot turn into selects, so an exhaustive loop over a block of cases
- * runs several cases per vector instruction.  Internal helpers are static so the case loop
- * never calls through the PLT; the exported helpers exist for parity tests.
+ * mismatch.  A kernel runs only the specs its case function computes
+ * exactly (n up to its SWEEP line's top, fields up to its <unit>_max); it
+ * declines any other, which then runs on the pure-Python engine.  The case
+ * functions have no branches gcc cannot turn into selects, so an exhaustive
+ * loop over a block of cases runs several cases per vector instruction.
+ * Internal helpers are static so the case loop never calls through the
+ * PLT; the exported helpers exist for parity tests.
  */
 
 #include <stdint.h>
@@ -26,6 +27,7 @@
 #define SLOTS 8
 #define BLOCK 256  /* cases per block of the vectorised exhaustive loop */
 #define GOLDEN 0x9E3779B97F4A7C15u
+#define ONES(k) (((uint64_t)1 << (k)) - 1)  /* the largest value of k bits */
 
 typedef unsigned __int128 u128;
 
@@ -56,7 +58,7 @@ INLINE struct ctx ctx_make(int n, const int64_t *args)
 }
 
 /* a % c->m for a < 2^bits, where bits follows from n and the field bounds
- * of the case function (its <unit>_bits), which every spec a kernel runs
+ * of the case function (its <unit>_max), which every spec a kernel runs
  * keeps.  In a width arm n, and so bits, is a constant and the tests fold
  * away.  The block loop (lanes) reduces in ways that vectorise, as a 64-bit
  * remainder does not: below 2^32 by a 32-bit remainder, below 2^64 (and
@@ -187,15 +189,15 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
 
 /* --- case functions: field values in spec order, nonzero on a mismatch -----
  *
- * <unit>_bits sets, per field, the bits below which the case function
- * computes what its unit's Python dataflow does at width n: its mod_m
- * bounds hold and no word passes 64 bits.  A kernel declines a spec with a
- * field past them. */
+ * <unit>_max sets, per field, the largest value up to which the case
+ * function computes what its unit's Python dataflow does at width n (at
+ * most the SWEEP line's top): its mod_m bounds hold and no word passes 64
+ * bits.  A kernel declines a spec with a field past it. */
 
-INLINE void adder_bits(int n, int *bits)
+INLINE void adder_max(int n, uint64_t *max)
 {
-    bits[0] = 2 * n + 1;                        /* x <= 2^2n */
-    bits[1] = bits[2] = bits[3] = bits[4] = n;  /* i, r; carry, borrow with slack */
+    max[0] = ONES(2 * n + 1);                     /* x <= 2^2n */
+    max[1] = max[2] = max[3] = max[4] = ONES(n);  /* i, r; carry, borrow with slack */
 }
 
 INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
@@ -207,9 +209,9 @@ INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
     return phi(c, f) != mod_m(c, x + r + ((i + carry) << c->n) + c->m - borrow, 2 * c->n + 3);
 }
 
-INLINE void multiplier_bits(int n, int *bits)
+INLINE void multiplier_max(int n, uint64_t *max)
 {
-    bits[0] = bits[1] = 2 * n + 1;  /* x, y <= 2^2n */
+    max[0] = max[1] = ONES(2 * n + 1);  /* x, y <= 2^2n */
 }
 
 INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
@@ -222,9 +224,9 @@ INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
     return (phi(c, f) & ((xz | yz) - 1)) != mod_m(c, (u128)x * y, 4 * c->n + 2);
 }
 
-INLINE void checkpoint_bits(int n, int *bits)
+INLINE void checkpoint_max(int n, uint64_t *max)
 {
-    bits[0] = bits[1] = 2 * n + 1;  /* x, y <= 2^2n */
+    max[0] = max[1] = ONES(2 * n + 1);  /* x, y <= 2^2n */
 }
 
 INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
@@ -244,9 +246,9 @@ INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
     return t != mod_m(c, (u128)x * y, 4 * c->n + 2);
 }
 
-INLINE void forward_bits(int n, int *bits)
+INLINE void forward_max(int n, uint64_t *max)
 {
-    bits[0] = 5 * n;  /* z < 2^n (2^4n - 1) */
+    max[0] = (ONES(4 * n) << n) - 1;  /* z < 2^n (2^4n - 1), as forward_22n1 accepts */
 }
 
 INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
@@ -254,10 +256,10 @@ INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
     return forward_dim1(c->n, c->m, v[0]) != mod_m(c, v[0], 5 * c->n);
 }
 
-INLINE void roundtrip_bits(int n, int *bits)
+INLINE void roundtrip_max(int n, uint64_t *max)
 {
     (void)n;
-    bits[0] = 63;
+    max[0] = ONES(63);
 }
 
 INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
@@ -272,10 +274,10 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
     return (uint64_t)x1 + (mask1 + 1) * (uint64_t)acc != z;
 }
 
-INLINE void compressor_bits(int n, int *bits)
+INLINE void compressor_max(int n, uint64_t *max)
 {
-    bits[0] = bits[1] = bits[2] = bits[3] = n;  /* a, b, c, d: alu.compress42 rejects more */
-    bits[4] = bits[5] = 1;                      /* t_in, v_in */
+    max[0] = max[1] = max[2] = max[3] = ONES(n);  /* a, b, c, d: alu.compress42 rejects more */
+    max[4] = max[5] = 1;                          /* t_in, v_in */
 }
 
 INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
@@ -285,10 +287,10 @@ INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
     return u + vh + ((cn + vn) << c->n) != v[0] + v[1] + v[2] + v[3] + v[4] + v[5];
 }
 
-INLINE void csa_bits(int n, int *bits)
+INLINE void csa_max(int n, uint64_t *max)
 {
-    bits[0] = 2 * n;                  /* z2 with slack */
-    bits[1] = bits[2] = 2 * n + 1;    /* z1, z0 past 2^2n: a sum past 64 bits at n = 31 */
+    max[0] = ONES(2 * n);               /* z2 with slack */
+    max[1] = max[2] = ONES(2 * n + 1);  /* z1, z0 past 2^2n: a sum past 64 bits at n = 31 */
 }
 
 INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
@@ -299,9 +301,9 @@ INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
            != mod_m(c, (u128)z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 3);
 }
 
-INLINE void normalize_bits(int n, int *bits)
+INLINE void normalize_max(int n, uint64_t *max)
 {
-    bits[0] = bits[1] = bits[2] = bits[3] = n;  /* i, r; carry, borrow with slack */
+    max[0] = max[1] = max[2] = max[3] = ONES(n);  /* i, r; carry, borrow with slack */
 }
 
 INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
@@ -329,12 +331,11 @@ static unsigned shape_of(int nf, const uint64_t *span, const uint64_t *base)
     return shape;
 }
 
-/* Whether every field's largest value, base + span - 1, is below 2^bits. */
-static int fields_fit(int nf, const uint64_t *span, const uint64_t *base, const int *bits)
+/* Whether every field's largest value, base + span - 1, is at most max. */
+static int fields_fit(int nf, const uint64_t *span, const uint64_t *base, const uint64_t *max)
 {
     for (int f = 0; f < nf; f++)
-        if (bits[f] < 64 && (span[f] > (uint64_t)1 << bits[f]
-                             || base[f] > ((uint64_t)1 << bits[f]) - span[f]))
+        if (span[f] - 1 > max[f] || base[f] > max[f] - (span[f] - 1))
             return 0;
     return 1;
 }
@@ -428,9 +429,9 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
 
 /* One arm of the width switch: the case loop with n, and so every modulus,
  * mask and shift derived from it, a compile-time constant, which turns each
- * % by a modulus into a multiply and a shift.  An arm past the unit's
- * largest width `top` is dead code, dropped before inlining; one past
- * `xtop` runs only random sweeps, so its exhaustive loop is dropped. */
+ * % by a modulus into a multiply and a shift.  An arm past the kernel's
+ * largest width `top` is never reached and is dropped before inlining; one
+ * past `xtop` runs only random sweeps, so its exhaustive loop is dropped. */
 #define ARM(k, unit, arity, usual, top, xtop)                                       \
     case k:                                                                         \
         if (k <= (top) && (random || k <= (xtop))) {                                \
@@ -453,33 +454,33 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(31, __VA_ARGS__)
 
 /* sweep_<unit>: returns -1 when the spec's field count is not the case
- * function's, and 1, running nothing, when a field passes <unit>_bits.  A
+ * function's, and 1, running nothing, when n passes top or a field passes
+ * <unit>_max; that answer alone decides whether a sweep runs compiled.  A
  * spec of the unit's usual shape runs a case loop specialized to it and to
  * n, in the width arms 2..top (2..xtop for an exhaustive sweep); any other
- * spec (say, a shifted base or a narrowed span) runs one general loop.  top
- * is the unit's Unit.max_n.  xtop is the largest n, at most top, whose usual
- * case space has fewer than 2^63 cases, the most an exhaustive sweep
- * indexes: a larger one can only be a narrowed spec. */
+ * spec (say, a shifted base or a narrowed span) runs one general loop.  xtop
+ * is the largest n, at most top, whose usual case space has fewer than 2^63
+ * cases, the most an exhaustive sweep indexes. */
 #define SWEEP(unit, arity, usual, top, xtop)                                        \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
     {                                                                               \
-        struct ctx c;                                                               \
-        unsigned shape;                                                             \
-        int bits[arity];                                                            \
+        uint64_t max[arity];                                                        \
         if (nf != arity)                                                            \
             return -1;                                                              \
-        unit##_bits(n, bits);                                                       \
-        if (!fields_fit(nf, span, base, bits))                                      \
+        if (n > (top))                                                              \
             return 1;                                                               \
-        shape = shape_of(nf, span, base);                                           \
+        unit##_max(n, max);                                                         \
+        if (!fields_fit(nf, span, base, max))                                       \
+            return 1;                                                               \
+        unsigned shape = shape_of(nf, span, base);                                  \
         if (shape == (usual)) {                                                     \
             switch (n) {                                                            \
                 ARMS(unit, arity, usual, top, xtop)                                 \
             }                                                                       \
         }                                                                           \
-        c = ctx_make(n, args);                                                      \
+        struct ctx c = ctx_make(n, args);                                           \
         run_cases(&c, unit##_bad, arity, shape, span, base, slot, random, seed,     \
                   lo, hi, out);                                                     \
         return 0;                                                                   \
@@ -487,9 +488,9 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
 
 SWEEP(adder, 5, 1u, 31, 15)          /* x spans 2^2n + 1 */
 SWEEP(multiplier, 2, 3u, 31, 15)     /* x, y span 2^2n + 1 */
-SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1 */
-SWEEP(forward, 1, 1u, 12, 12)
-SWEEP(roundtrip, 1, 1u, 10, 10)
+SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1; top: i_sum 2^n fits in 63 bits */
+SWEEP(forward, 1, 1u, 12, 12)        /* top: 5n-bit inputs in 63 bits */
+SWEEP(roundtrip, 1, 1u, 10, 10)      /* top: the New-CRT products mu (x' - x) in int64 */
 SWEEP(compressor, 6, 0u, 31, 15)
 SWEEP(csa, 3, 0u, 31, 12)
 SWEEP(normalize, 4, 0u, 31, 30)

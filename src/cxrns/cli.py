@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
         print(report.to_json())
     else:
         status = "ok" if report.ok else "FAIL"
-        backend = sweeps.backend_name(report.unit, report.n)
+        backend = sweeps.backend_name(report.unit, report.n, args.p)
         print(f"verify {report.unit} n={report.n} {report.mode}: "
               f"cases={report.cases} failures={report.failures} "
               f"({report.wall_time_s:.3f}s) [{backend}] {status}")

@@ -3,9 +3,9 @@
 A sweep runs one unit over an exhaustive index space or a seeded random
 stream, counts mismatches against plain modular arithmetic, and reports
 the lowest failing case.  Hot sweeps dispatch to the compiled kernels of
-``_kernels.c`` (when a C compiler built them, the width is at most the
-unit's ``max_n`` and the spec's fields fit the kernel's bounds);
-everything else runs on the pure-Python case engine of ``oracle``.
+``_kernels.c`` when a C compiler built them and the unit's kernel accepts
+the sweep (see ``_runner``); everything else runs on the pure-Python case
+engine of ``oracle``.
 
 Each unit is one entry of ``UNITS``: its input fields and a case function
 that runs the device under test.  The case space, both decoders, the pure
@@ -45,14 +45,13 @@ def compiled_available() -> bool:
     return _C is not None
 
 
-def _runs_compiled(unit: str | None = None, n: int = 2, force_pure: bool = False) -> bool:
-    """Whether a sweep of `unit` (by default, of any unit) at width n runs compiled."""
-    return _C is not None and not force_pure and (unit is None or n <= UNITS[unit].max_n)
-
-
-def backend_name(unit: str | None = None, n: int = 2, force_pure: bool = False) -> str:
-    """The backend a sweep of `unit` at width n runs on: "compiled" or "pure"."""
-    return "compiled" if _runs_compiled(unit, n, force_pure) else "pure"
+def backend_name(unit: str | None = None, n: int = 2, p: int = 0) -> str:
+    """The backend, "compiled" or "pure", that the kernel picks for a sweep of
+    `unit` at width n and extension p; without a unit, whether the kernels loaded."""
+    if unit is None:
+        return "compiled" if _C is not None else "pure"
+    params = Params(n, p)
+    return _runner(unit, params, *UNITS[unit].build(params), "random", 0, False)[1]
 
 
 # --- unit specs -----------------------------------------------------------------
@@ -64,15 +63,14 @@ class Unit(NamedTuple):
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
     The ``sweep_<unit>`` export of ``_kernels.c`` runs the same fields
-    through its own case function at widths up to ``max_n``, for specs
-    whose fields fit the bits that case function computes exactly; every
-    other sweep runs on the pure engine.  ``kernel_args(n, p)`` gives the
+    through its own case function, and itself declines (see ``_runner``)
+    a width or a field past what that case function computes exactly;
+    such a sweep runs on the pure engine.  ``kernel_args(n, p)`` gives the
     kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
 
     build: Callable
-    max_n: int = 31
     kernel_args: Callable = lambda n, p: ()
     reads_p: bool = False
 
@@ -195,9 +193,9 @@ def _normalize(params: Params):
 UNITS = {
     "adder": Unit(_adder),
     "multiplier": Unit(_multiplier),
-    "checkpoint": Unit(_checkpoint, max_n=30),  # i_sum * 2^n must fit in 63 bits
-    "forward": Unit(_forward, max_n=12),  # 5n-bit inputs in 63 bits
-    "roundtrip": Unit(_roundtrip, max_n=10, kernel_args=_roundtrip_kernel_args, reads_p=True),
+    "checkpoint": Unit(_checkpoint),
+    "forward": Unit(_forward),
+    "roundtrip": Unit(_roundtrip, kernel_args=_roundtrip_kernel_args, reads_p=True),
     "compressor": Unit(_compressor),
     # Nearly redundant: forward runs the same CSA stage on 2^5n - 2^n of these 2^5n
     # triples and checks the final residue.  Kept: the sweep-random benchmark runs it.
@@ -307,17 +305,18 @@ _C = _load_kernels()
 # --- chunk runners ---------------------------------------------------------------
 
 def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable,
-            mode: str, seed: int, force_pure: bool) -> Callable[[int, int], tuple[int, int]]:
-    """run(lo, hi): sweep cases [lo, hi), return (failures, first failing index or -1).
+            mode: str, seed: int, force_pure: bool) -> tuple[Callable, str]:
+    """(run, backend): run(lo, hi) sweeps cases [lo, hi) and returns (failures,
+    first failing index or -1) on the backend named "compiled" or "pure".
 
-    The unit's kernel runs the sweep only where it computes it exactly.
-    Asked once with an empty range, it declines (returns 1) a spec with a
-    field past the bits its case function assumes; a span or a largest
-    value past 2^64 - 1, which ctypes would wrap without an error, never
-    reaches it.  Everything else runs on the pure engine.  A kernel call releases the
-    GIL, so compiled runs of disjoint ranges run in parallel threads.
+    The unit's kernel alone decides whether it runs the sweep: asked once
+    with an empty range, it declines (returns 1) a width past its SWEEP
+    line's top or a field past its case function's bounds.  A span or a
+    largest value past 2^64 - 1, which ctypes would wrap silently, never
+    reaches it.  A kernel call releases the GIL, so compiled runs of
+    disjoint ranges run in parallel threads.
     """
-    if _runs_compiled(unit, params.n, force_pure) and all(
+    if _C is not None and not force_pure and all(
             max(f.span, f.base + f.span - 1) < 1 << 64 for f in fields):
         kernel = getattr(_C, f"sweep_{unit}")
         column = _U64 * len(fields)
@@ -335,8 +334,8 @@ def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable
                 kernel(*args, lo, hi, out)
                 return out[0], out[1]
 
-            return run
-    return functools.partial(sweep, fields, case, mode, seed)
+            return run, "compiled"
+    return functools.partial(sweep, fields, case, mode, seed), "pure"
 
 
 def _split(total: int, workers: int) -> list[tuple[int, int]]:
@@ -369,7 +368,7 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     fields, case = UNITS[unit].build(params)
     total = case_count(fields, mode, samples, seed)
     start = time.perf_counter()
-    run = _runner(unit, params, fields, case, mode, seed, force_pure)
+    run, _ = _runner(unit, params, fields, case, mode, seed, force_pure)
     chunks = _split(total, min(workers, os.cpu_count() or 1))
     if len(chunks) == 1:
         results = [run(*chunks[0])]

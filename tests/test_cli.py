@@ -230,6 +230,23 @@ def test_verify_names_the_backend_that_ran(capsys, unit, gate):
         assert label in out
 
 
+@pytest.mark.skipif(not sweeps.compiled_available(), reason="no C compiler")
+def test_verify_names_pure_for_a_spec_its_kernel_declines(monkeypatch, capsys):
+    # The kernel decides, not the width: y one past the values the compiled
+    # multiplier computes exactly makes it decline, so the sweep runs pure
+    # (and finds the planted faults of y past 2^2n).
+    spec = sweeps.UNITS["multiplier"]
+
+    def build(params):
+        (x, y), case = spec.build(params)
+        return (x, y._replace(span=(1 << 2 * params.n + 1) + 1)), case
+
+    monkeypatch.setitem(sweeps.UNITS, "multiplier", spec._replace(build=build))
+    code, out, _ = run_cli(capsys, "verify", "multiplier", "--n", "3")
+    assert code == 1
+    assert "[pure] FAIL" in out
+
+
 @pytest.mark.parametrize("unit,cases", [("csa", 1024), ("checkpoint", 256)])
 def test_verify_accepts_every_sweep_unit(capsys, unit, cases):
     code, out, _ = run_cli(capsys, "verify", unit, "--n", "2")

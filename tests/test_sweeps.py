@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from cxrns import alu, oracle, sweeps
-from cxrns.core import ComplexChannelResidue, Params, operand_value
+from cxrns.core import ComplexChannelResidue, Params, RangeExceeded, operand_value
 from cxrns.reporting import VerifyReport
 
 needs_compiled = pytest.mark.skipif(
@@ -251,8 +251,9 @@ def test_unwritable_cache_means_pure_backend(tmp_path):
     assert sweeps._load_kernels(str(blocker / "__pycache__")) is None
 
 
+@needs_compiled
 def test_compiled_support_gates(monkeypatch):
-    monkeypatch.setattr(sweeps, "_C", object())  # any loaded library
+    # The loaded kernels answer: a width past a kernel's top runs pure.
     for unit in ("csa", "normalize"):
         assert sweeps.backend_name(unit, 2) == "compiled"
         assert sweeps.backend_name(unit, 31) == "compiled"
@@ -263,7 +264,7 @@ def test_compiled_support_gates(monkeypatch):
     assert sweeps.backend_name("multiplier", 31) == "compiled"
     assert sweeps.backend_name("checkpoint", 30) == "compiled"
     assert sweeps.backend_name("checkpoint", 31) == "pure"
-    assert sweeps.backend_name("multiplier", 2, force_pure=True) == "pure"
+    assert sweeps.backend_name("roundtrip", 10, 10) == "compiled"
     assert sweeps.backend_name() == "compiled"
     monkeypatch.setattr(sweeps, "_C", None)
     assert sweeps.backend_name("multiplier", 2) == sweeps.backend_name() == "pure"
@@ -273,9 +274,8 @@ def test_every_unit_has_a_kernel():
     # A unit without a compiled kernel would leave its sweeps in pure Python.
     with open(sweeps._KERNELS_C) as f:
         source = f.read()
-    for unit, spec in sweeps.UNITS.items():
+    for unit in sweeps.UNITS:
         assert f"SWEEP({unit}," in source, unit
-        assert spec.max_n >= 2, unit
         if sweeps.compiled_available():
             assert getattr(sweeps._C, f"sweep_{unit}").argtypes, unit
 
@@ -296,21 +296,20 @@ def _exhaustive_cases(unit, n, p=0):
 def test_sweep_lines_declare_the_spec_shape():
     # A SWEEP(unit, arity, usual, top, xtop) line whose usual shape drifts from
     # the spec still gives right reports, but through the slower general case
-    # loop.  So does a width past top, or an exhaustive sweep past xtop; width
-    # arms past max_n are dead code, and so are exhaustive loops of arms whose
-    # usual case space is too large to sweep.
+    # loop, and so does an exhaustive sweep past xtop; a width past top runs
+    # pure.  Width arms past top are dead code, and so are exhaustive loops of
+    # arms whose usual case space is too large to sweep.
     based = 1 << int(re.search(r"#define MAX_FIELDS (\d+)", _SOURCE).group(1))
     assert [unit for unit, _, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
     for unit, arity, usual, top, xtop in _SWEEP_LINES:
         declared = sum(based if t == "BASED" else int(t.rstrip("u"))
                        for t in usual.replace(" ", "").split("|"))
         spec = sweeps.UNITS[unit]
-        for n in (2, 5, spec.max_n):
+        for n in (2, 5, int(top)):
             fields, _ = spec.build(Params(n))
             shape = sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1))
             shape |= based if any(f.base for f in fields) else 0
             assert (len(fields), shape) == (int(arity), declared), (unit, n)
-        assert int(top) == spec.max_n, unit
         assert int(xtop) == max([n for n in range(2, int(top) + 1)
                                  if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
@@ -321,15 +320,16 @@ _BLOCK = int(re.search(r"^#define BLOCK (\d+)", _SOURCE, re.M).group(1))
 _PURE_EXHAUSTIVE_CASES = 300_000  # the widest exhaustive sweep a parity test runs pure
 
 
-def _kernel_status(unit, n, p=0):
-    """What sweep_<unit> returns, asked with an empty case range, for the
-    unit's spec at width n: 0 when it runs the spec, 1 when it declines it."""
+def _kernel_status(unit, n, p=0, width=None):
+    """What sweep_<unit> returns, asked with an empty case range at `width`
+    (by default n), for the unit's spec at width n: 0 when it runs the spec,
+    1 when it declines it."""
     spec = sweeps.UNITS[unit]
     fields, _ = spec.build(Params(n, p))
     column = ctypes.c_uint64 * len(fields)
     return getattr(sweeps._C, f"sweep_{unit}")(
-        n, (ctypes.c_int64 * 4)(*spec.kernel_args(n, p)), len(fields),
-        column(*(f.span for f in fields)), column(*(f.base for f in fields)),
+        n if width is None else width, (ctypes.c_int64 * 4)(*spec.kernel_args(n, p)),
+        len(fields), column(*(f.span for f in fields)), column(*(f.base for f in fields)),
         column(*(f.slot for f in fields)), 1, 0, 0, 0, (ctypes.c_int64 * 2)())
 
 
@@ -357,7 +357,7 @@ def _exhaustive_chunks_match_pure(unit, n, p=0, starts=None):
     if total > sys.maxsize:
         return 0
     assert _kernel_status(unit, n, p) == 0, (unit, n, p)
-    run = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
+    run, _ = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
     failures = 0
     for lo in starts or sorted({0, total // 2, max(0, total - 1000)}):
         # Each case decoded on its own: oracle.sweep would step to lo one case at a time.
@@ -392,19 +392,23 @@ def _widened(spec, spans):
     return spec._replace(build=build)
 
 
-# Fields widened so that each unit keeps its usual shape (a span that is a
-# power of two stays one), within the bits its compiled case computes
-# exactly, so that the width arms run them; the last entry of each unit
-# fills every field's bits.  Some plant faults; the adder's x and csa's z2
-# stay exact.  (The compressor's op rejects wider words, so it has no plant.)
+# Fields widened within the bounds each unit's compiled case computes
+# exactly (its <unit>_max), so that the kernel runs them; the last entry of
+# each unit fills every field's bound.  An entry that keeps the unit's usual
+# shape runs in the width arms.  Three entries change it and run the general
+# loop: the last adder and multiplier ones, whose x and y spans become powers
+# of two, and checkpoint's, whose spans stop being powers of two.  Some plant
+# faults; the adder's x and csa's z2 stay exact.  (The compressor's op
+# rejects wider words, so it has no plant.)
 _STATE = {"i": lambda n: 1 << n, "r": lambda n: 1 << n,  # every state field at n bits
           "carry": lambda n: 1 << n, "borrow": lambda n: 1 << n}
 _WIDENED = {
     "adder": [{"carry": lambda n: 4}, {"x": lambda n: (1 << 2 * n + 1) - 1},
-              {"x": lambda n: 1 << 2 * n + 1, **_STATE}],
+              {"x": lambda n: 1 << 2 * n + 1, **_STATE}],  # general loop
     "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},
-                   {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],
-    "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1, "y": lambda n: (1 << 2 * n + 1) - 1}],
+                   {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],  # general loop
+    "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1,  # general loop
+                    "y": lambda n: (1 << 2 * n + 1) - 1}],
     "csa": [{"z2": lambda n: 1 << n + 1},
             {"z2": lambda n: 1 << 2 * n, "z1": lambda n: 1 << 2 * n + 1,
              "z0": lambda n: 1 << 2 * n + 1}],
@@ -447,6 +451,32 @@ def test_specs_past_the_kernel_bits_run_pure(monkeypatch, unit):
         monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
         for n in range(2, _TOP[unit] + 1):
             _pure_and_compiled(unit, n, status=1, mode="random", samples=300, seed=3)
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", [unit for unit, top in _TOP.items() if top < 31])
+def test_widths_past_top_are_declined(unit):
+    # A SWEEP line's top is the kernel's only width bound: one past it, the
+    # kernel declines the spec of width top, whose fields fit, and the sweep
+    # runs pure.
+    top = _TOP[unit]
+    assert _kernel_status(unit, top) == 0
+    assert _kernel_status(unit, top, width=top + 1) == 1
+    assert sweeps.backend_name(unit, top + 1) == "pure"
+
+
+@needs_compiled
+def test_forward_inputs_past_wide_range_raise_on_both_backends(monkeypatch):
+    # forward_22n1 rejects a z at or past wide_range, so the kernel declines a
+    # spec that reaches it rather than pass inputs the op rejects: the last of
+    # these wide_range + 1 cases raises on either backend.
+    monkeypatch.setitem(sweeps.UNITS, "forward", _widened(
+        sweeps.UNITS["forward"], {"z": lambda n: Params(n).wide_range + 1}))
+    for n in range(2, _TOP["forward"] + 1):
+        assert _kernel_status("forward", n) == 1, n
+    for force_pure in (True, False):
+        with pytest.raises(RangeExceeded, match="outside"):
+            sweeps.run_verify("forward", 3, force_pure=force_pure)
 
 
 @needs_compiled
@@ -521,7 +551,7 @@ def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
     params = Params(n)
     fields, case = sweeps.UNITS[unit].build(params)
     assert _kernel_status(unit, n) == 0
-    run = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
+    run, _ = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
     total = oracle.case_count(fields, "exhaustive", 0, 0)
     first = run(0, total)[1]
     assert first >= _BLOCK
