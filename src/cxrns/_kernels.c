@@ -9,10 +9,13 @@
  * mismatch.  A kernel runs only the specs its case function computes
  * exactly (n up to its SWEEP line's top, fields up to its <unit>_max); it
  * declines any other, which then runs on the pure-Python engine.  The case
- * functions have no branches gcc cannot turn into selects, so an exhaustive
- * loop over a block of cases runs several cases per vector instruction.
- * Internal helpers are static so the case loop never calls through the
- * PLT; the exported helpers exist for parity tests.
+ * functions have no branches gcc cannot turn into selects, so a loop over a
+ * block of cases runs several cases per vector instruction.  Exhaustive
+ * sweeps always run in such blocks; random sweeps do where the target has
+ * AVX2 (its 32-bit vector multiplies build the draw's 64-bit ones), and
+ * elsewhere run one case at a time, which is faster there.  Internal helpers
+ * are static so the case loop never calls through the PLT; the exported
+ * helpers exist for parity tests.
  */
 
 #include <stdint.h>
@@ -25,9 +28,14 @@
 
 #define MAX_FIELDS 8
 #define SLOTS 8
-#define BLOCK 256  /* cases per block of the vectorised exhaustive loop */
+#define BLOCK 256  /* cases per block of the vectorised case loops */
 #define GOLDEN 0x9E3779B97F4A7C15u
 #define ONES(k) (((uint64_t)1 << (k)) - 1)  /* the largest value of k bits */
+#if defined(__AVX2__)
+#define RANDOM_BLOCKS 1  /* random sweeps run in blocks too (see run_cases) */
+#else
+#define RANDOM_BLOCKS 0
+#endif
 
 typedef unsigned __int128 u128;
 
@@ -81,6 +89,26 @@ INLINE uint64_t mod_m(const struct ctx *c, u128 a, int bits)
     if (bits <= 64)
         return (uint64_t)a % c->m;
     return a >> 64 ? (uint64_t)(a % c->m) : (uint64_t)a % c->m;
+}
+
+/* x y mod c->m for x, y < 2^(2n+1), the largest operands the multiplier and
+ * checkpoint kernels accept.  Where random sweeps run in blocks, a width arm
+ * at n = 16, where the product passes 64 bits, splits each operand at
+ * 2^2n = -1 (mod m) into x = xh 2^2n + xl, xh a bit: x y = xl yl - xh yl
+ * - yh xl + xh yh (mod m) needs only 64-bit words and 32-bit vector
+ * multiplies.  Past n = 16 xl yl passes 64 bits too.  Elsewhere the u128
+ * remainder, exact as well, stays: in a scalar loop the split read 0.91x;
+ * in the general loop, where n is no constant, it made gcc allocate the
+ * registers of the whole sweep_multiplier worse (exhaustive n = 5, 0.96x). */
+INLINE uint64_t mul_mod_m(const struct ctx *c, uint64_t x, uint64_t y)
+{
+    int w = 2 * c->n;
+    if (RANDOM_BLOCKS && __builtin_constant_p(c->n) && 4 * c->n + 2 > 64 && 2 * w <= 64) {
+        uint64_t wmask = c->m - 2, xh = x >> w, yh = y >> w, xl = x & wmask, yl = y & wmask;
+        return mod_m(c, mod_m(c, xl * yl, 64) + 2 * c->m - (yl & -xh) - (xl & -yh) + (xh & yh),
+                     w + 2);
+    }
+    return mod_m(c, (u128)x * y, 4 * c->n + 2);
 }
 
 /* --- counter-based PRNG (splitmix64) ------------------------------------- */
@@ -221,7 +249,7 @@ INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
     split_fresh(c->n, y, &yr, &yi, &yz);
     mul4(c->n, xr, xi, yr, yi, f);
     /* a zero flag gates the product to canonical zero */
-    return (phi(c, f) & ((xz | yz) - 1)) != mod_m(c, (u128)x * y, 4 * c->n + 2);
+    return (phi(c, f) & ((xz | yz) - 1)) != mul_mod_m(c, x, y);
 }
 
 INLINE void checkpoint_max(int n, uint64_t *max)
@@ -243,7 +271,7 @@ INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
     /* r_sum + 2^n i_sum + m, which m > 2^(n+1) keeps nonnegative */
     uint64_t t = mod_m(c, r_sum + (i_sum2 << c->n) + c->m - ((uint64_t)2 << c->n),
                        2 * c->n + 4);
-    return t != mod_m(c, (u128)x * y, 4 * c->n + 2);
+    return t != mul_mod_m(c, x, y);
 }
 
 INLINE void forward_max(int n, uint64_t *max)
@@ -320,14 +348,21 @@ INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
 
 /* --- case loop --------------------------------------------------------------- */
 
-/* Bit f of a shape: span f is not a power of two; bit MAX_FIELDS: a base is nonzero. */
+/* The bits of a spec's shape: bit f, span f is not a power of two; BASED, a
+ * base is nonzero; SPAN_M(f), span f is m = 2^2n + 1; SPAN_DR(f), span f is
+ * 2^(n+p) (2^4n - 1), the dynamic range of f_set(n, p). */
 #define BASED (1u << MAX_FIELDS)
+#define SPAN_M(f) (1u << (MAX_FIELDS + 1 + (f)))
+#define SPAN_DR(f) (1u << (2 * MAX_FIELDS + 1 + (f)))
 
-static unsigned shape_of(int nf, const uint64_t *span, const uint64_t *base)
+static unsigned shape_of(int n, int p, int nf, const uint64_t *span, const uint64_t *base)
 {
     unsigned shape = 0;
-    for (int f = 0; f < nf; f++)
+    for (int f = 0; f < nf; f++) {
         shape |= (span[f] & (span[f] - 1) ? 1u << f : 0) | (base[f] ? BASED : 0);
+        shape |= span[f] == ((uint64_t)1 << (2 * n)) + 1 ? SPAN_M(f) : 0;
+        shape |= p >= 0 && 5 * n + p < 64 && span[f] == ONES(4 * n) << (n + p) ? SPAN_DR(f) : 0;
+    }
     return shape;
 }
 
@@ -352,6 +387,40 @@ INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
     return bad(c, w);
 }
 
+/* d mod span, for a draw d and the span of field f, of the kind the shape
+ * says.  The vector loop's remainders by m and by 2^a (2^4n - 1), a = n + p,
+ * fold: by m end-around (2^2n = -1), which reduces 64 bits exactly from
+ * n = 11 on, where they make three 2n-bit chunks; by 2^a (2^4n - 1) in its
+ * low a bits and one Mersenne fold (2^4n = 1) of the 64 - a bits above them,
+ * exact from n = 8 on, where they make less than two 4n-bit chunks.  Other
+ * remainders are 64-bit ones. */
+INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d, uint64_t span)
+{
+    int a = c->n + c->p, q4 = 4 * c->n;
+    if (!(shape >> f & 1))
+        return d & (span - 1);
+    if (shape & SPAN_M(f))
+        return 6 * c->n >= 64 ? mod_m(c, d, 64) : d % c->m;
+    if (shape & SPAN_DR(f) && 9 * c->n > 64) {
+        uint64_t q = (d >> a & ONES(q4)) + (d >> a >> q4);
+        return (d & ONES(a)) | (q - (ONES(q4) & -(uint64_t)(q >= ONES(q4)))) << a;
+    }
+    return d % span;
+}
+
+/* Whether random case k of the current run is a mismatch: field f takes the
+ * value b[f] + draw64(seed, SLOTS k + slot[f]) mod sp[f], the draw keyed by
+ * key[f]. */
+INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
+                   int nf, unsigned shape, const uint64_t *key, const uint64_t *sp,
+                   const uint64_t *b, uint64_t k)
+{
+    uint64_t w[MAX_FIELDS];
+    for (int f = 0; f < nf; f++)
+        w[f] = b[f] + draw_mod(c, shape, f, mix64(key[f] + k * (SLOTS * GOLDEN)), sp[f]);
+    return bad(c, w);
+}
+
 /* Runs cases [lo, hi); out gets (failures, first failing index or -1).  The
  * field constants are copied to locals so that, inlined with a constant nf
  * and shape, they live in registers and the per-field tests fold away.
@@ -363,7 +432,13 @@ INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * vectorises, sums the block's mismatches, and only a block that holds the
  * sweep's first mismatch is scanned again, with the same arithmetic, for
  * its index.  The spans' product is below 2^63, as oracle.case_count
- * requires of an exhaustive sweep. */
+ * requires of an exhaustive sweep.
+ *
+ * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
+ * lo the same way, each of BLOCK counted steps that mask off the cases past
+ * hi: a fixed trip count leaves gcc no vector epilogue to emit per loop.
+ * Its draws fold their remainders (draw_mod).  Elsewhere, where a 64-bit
+ * vector multiply costs more than it saves, it runs one case at a time. */
 INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
                   int nf, unsigned shape, const uint64_t *span, const uint64_t *base,
                   const uint64_t *slot, int random, uint64_t seed, uint64_t lo, uint64_t hi,
@@ -377,7 +452,28 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         b[f] = shape & BASED ? base[f] : 0;
         key[f] = seed + (slot[f] + 1) * GOLDEN;  /* draw64(seed, SLOTS k + slot) at k = 0 */
     }
-    if (random) {
+    /* Where random sweeps run in blocks, the hint lays them out after the
+     * exhaustive loops.  In line, they moved the exhaustive loops' register
+     * allocation: compressor n = 4 read 0.97x in an in-process A/B, 0.99x
+     * with the hint.  The scalar loop of other targets read up to 0.88x
+     * with it. */
+    if (RANDOM_BLOCKS ? __builtin_expect(random, 0) : random) {
+#if RANDOM_BLOCKS
+        struct ctx cl = *c;
+        cl.lanes = 1;
+        for (uint64_t k = lo; k < hi; k += BLOCK) {
+            unsigned mismatches = 0, j;
+            for (j = 0; j < BLOCK; j++)
+                mismatches += (unsigned)(k + j < hi)
+                              & (unsigned)draw_at(&cl, bad, nf, shape, key, sp, b, k + j);
+            if (mismatches && failures == 0) {
+                for (j = 0; !draw_at(&cl, bad, nf, shape, key, sp, b, k + j); j++)
+                    ;
+                first = (int64_t)(k + j);
+            }
+            failures += mismatches;
+        }
+#else
         for (uint64_t k = lo; k < hi; k++) {
             for (f = 0; f < nf; f++) {
                 uint64_t d = mix64(key[f] + k * (SLOTS * GOLDEN));
@@ -386,6 +482,7 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
             if (bad(c, v) && failures++ == 0)
                 first = (int64_t)k;
         }
+#endif
     } else {
         uint64_t sh[MAX_FIELDS], mk[MAX_FIELDS], wrap = 1, idx, u, j;
         struct ctx cl = *c;
@@ -474,7 +571,7 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         unit##_max(n, max);                                                         \
         if (!fields_fit(nf, span, base, max))                                       \
             return 1;                                                               \
-        unsigned shape = shape_of(nf, span, base);                                  \
+        unsigned shape = shape_of(n, (int)args[0], nf, span, base);                 \
         if (shape == (usual)) {                                                     \
             switch (n) {                                                            \
                 ARMS(unit, arity, usual, top, xtop)                                 \
@@ -486,11 +583,11 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         return 0;                                                                   \
     }
 
-SWEEP(adder, 5, 1u, 31, 15)          /* x spans 2^2n + 1 */
-SWEEP(multiplier, 2, 3u, 31, 15)     /* x, y span 2^2n + 1 */
+SWEEP(adder, 5, 1u | SPAN_M(0), 31, 15)                /* x spans 2^2n + 1 */
+SWEEP(multiplier, 2, 3u | SPAN_M(0) | SPAN_M(1), 31, 15)  /* x, y span 2^2n + 1 */
 SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1; top: i_sum 2^n fits in 63 bits */
-SWEEP(forward, 1, 1u, 12, 12)        /* top: 5n-bit inputs in 63 bits */
-SWEEP(roundtrip, 1, 1u, 10, 10)      /* top: the New-CRT products mu (x' - x) in int64 */
+SWEEP(forward, 1, 1u | SPAN_DR(0), 12, 12)    /* top: 5n-bit inputs in 63 bits */
+SWEEP(roundtrip, 1, 1u | SPAN_DR(0), 10, 10)  /* top: the New-CRT products mu (x' - x) in int64 */
 SWEEP(compressor, 6, 0u, 31, 15)
 SWEEP(csa, 3, 0u, 31, 12)
 SWEEP(normalize, 4, 0u, 31, 30)

@@ -293,23 +293,43 @@ def _exhaustive_cases(unit, n, p=0):
     return math.prod(f.span for f in fields)
 
 
+def _declared_shape(usual):
+    """The parts of a SWEEP line's usual shape: the bits of the fields whose span
+    is not a power of two, whether it is BASED, and the fields named by
+    SPAN_M(f) (span m = 2^2n + 1) and by SPAN_DR(f) (span 2^(n+p) (2^4n - 1))."""
+    shape = {"bits": 0, "based": False, "m": set(), "dr": set()}
+    for term in usual.replace(" ", "").split("|"):
+        kind = re.fullmatch(r"SPAN_(M|DR)\((\d+)\)", term)
+        if kind:
+            shape[kind[1].lower()].add(int(kind[2]))
+        elif term == "BASED":
+            shape["based"] = True
+        else:
+            shape["bits"] |= int(term.rstrip("u"))
+    return shape
+
+
 def test_sweep_lines_declare_the_spec_shape():
     # A SWEEP(unit, arity, usual, top, xtop) line whose usual shape drifts from
     # the spec still gives right reports, but through the slower general case
     # loop, and so does an exhaustive sweep past xtop; a width past top runs
-    # pure.  Width arms past top are dead code, and so are exhaustive loops of
-    # arms whose usual case space is too large to sweep.
-    based = 1 << int(re.search(r"#define MAX_FIELDS (\d+)", _SOURCE).group(1))
+    # pure.  The usual shape also names the spans whose random draws the block
+    # loop folds (SPAN_M, SPAN_DR).  Width arms past top are dead code, and so
+    # are exhaustive loops of arms whose usual case space is too large to sweep.
     assert [unit for unit, _, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
     for unit, arity, usual, top, xtop in _SWEEP_LINES:
-        declared = sum(based if t == "BASED" else int(t.rstrip("u"))
-                       for t in usual.replace(" ", "").split("|"))
+        declared = _declared_shape(usual)
         spec = sweeps.UNITS[unit]
         for n in (2, 5, int(top)):
-            fields, _ = spec.build(Params(n))
-            shape = sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1))
-            shape |= based if any(f.base for f in fields) else 0
-            assert (len(fields), shape) == (int(arity), declared), (unit, n)
+            for p in (0, n) if spec.reads_p else (0,):
+                params = Params(n, p)
+                fields, _ = spec.build(params)
+                dynamic_range = ((1 << 4 * n) - 1) << n + p
+                shape = {"bits": sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1)),
+                         "based": any(f.base for f in fields),
+                         "m": {k for k, f in enumerate(fields) if f.span == params.modulus},
+                         "dr": {k for k, f in enumerate(fields) if f.span == dynamic_range}}
+                assert (len(fields), shape) == (int(arity), declared), (unit, n, p)
         assert int(xtop) == max([n for n in range(2, int(top) + 1)
                                  if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
@@ -395,17 +415,17 @@ def _widened(spec, spans):
 # Fields widened within the bounds each unit's compiled case computes
 # exactly (its <unit>_max), so that the kernel runs them; the last entry of
 # each unit fills every field's bound.  An entry that keeps the unit's usual
-# shape runs in the width arms.  Three entries change it and run the general
-# loop: the last adder and multiplier ones, whose x and y spans become powers
-# of two, and checkpoint's, whose spans stop being powers of two.  Some plant
-# faults; the adder's x and csa's z2 stay exact.  (The compressor's op
-# rejects wider words, so it has no plant.)
+# shape runs in the width arms: the adder's carry, csa's and normalize's.
+# The others change it and run the general loop: a widened adder x or
+# multiplier y no longer spans m = 2^2n + 1, and checkpoint's spans stop
+# being powers of two.  Some plant faults; the adder's x and csa's z2 stay
+# exact.  (The compressor's op rejects wider words, so it has no plant.)
 _STATE = {"i": lambda n: 1 << n, "r": lambda n: 1 << n,  # every state field at n bits
           "carry": lambda n: 1 << n, "borrow": lambda n: 1 << n}
 _WIDENED = {
-    "adder": [{"carry": lambda n: 4}, {"x": lambda n: (1 << 2 * n + 1) - 1},
+    "adder": [{"carry": lambda n: 4}, {"x": lambda n: (1 << 2 * n + 1) - 1},  # general loop
               {"x": lambda n: 1 << 2 * n + 1, **_STATE}],  # general loop
-    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},
+    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},  # general loop
                    {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],  # general loop
     "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1,  # general loop
                     "y": lambda n: (1 << 2 * n + 1) - 1}],
@@ -539,20 +559,19 @@ def test_folded_remainders_reach_their_second_subtraction():
         assert _exhaustive_chunks_match_pure("forward", n, starts=[start]) == 0, n
 
 
-# Multiplier faults planted in a blocked exhaustive loop, whose first failure
-# lies past the first block; y runs over 257 cases (2^8 + 1) or 511 (planted).
-@needs_compiled
-@pytest.mark.parametrize("name", ["x", "y"])
-def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
+def _blocks_match_pure(monkeypatch, spans, mode, samples=0, seed=0):
+    """Checks a multiplier fault planted at n = 4 by widening `spans`: its first
+    failure lies past the first block, and compiled chunks that put it at
+    either edge of a block, or start and end mid-block, count like the pure
+    engine; so do reports at workers 1 and 2."""
     unit, n = "multiplier", 4
-    monkeypatch.setitem(sweeps.UNITS, unit,
-                        _widened(sweeps.UNITS[unit], {name: lambda n: (1 << 2 * n + 1) - 1}))
+    monkeypatch.setitem(sweeps.UNITS, unit, _widened(sweeps.UNITS[unit], spans))
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep both chunks
     params = Params(n)
     fields, case = sweeps.UNITS[unit].build(params)
     assert _kernel_status(unit, n) == 0
-    run, _ = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
-    total = oracle.case_count(fields, "exhaustive", 0, 0)
+    run, _ = sweeps._runner(unit, params, fields, case, mode, seed, False)
+    total = oracle.case_count(fields, mode, samples, seed)
     first = run(0, total)[1]
     assert first >= _BLOCK
     # The first failure as the last case of a chunk's first block, the first of
@@ -560,13 +579,32 @@ def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
     # and end mid-block.
     for lo, hi in [(first - _BLOCK + 1, first + _BLOCK), (first - _BLOCK, first + _BLOCK),
                    (first - 300, first + 1), (first - 100, total - 77), (77, first - 100)]:
-        assert run(lo, hi) == oracle.sweep(fields, case, "exhaustive", 0, lo, hi), (lo, hi)
-    reports = [sweeps.run_verify(unit, n, workers=workers, force_pure=force_pure).to_dict()
+        assert run(lo, hi) == oracle.sweep(fields, case, mode, seed, lo, hi), (lo, hi)
+    reports = [sweeps.run_verify(unit, n, mode=mode, samples=samples, seed=seed,
+                                 workers=workers, force_pure=force_pure).to_dict()
                for force_pure, workers in [(True, 1), (False, 1), (False, 2)]]
     for report in reports:
         report.pop("wall_time_s")
     assert reports[0] == reports[1] == reports[2]
     assert reports[0]["failures"] > 0
+
+
+# Multiplier faults planted in a blocked exhaustive loop; y runs over 257 cases
+# (2^8 + 1) or 511 (planted).
+@needs_compiled
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
+    _blocks_match_pure(monkeypatch, {name: lambda n: (1 << 2 * n + 1) - 1}, "exhaustive")
+
+
+# The same in random mode, where blocks run from each chunk's start: y reaches
+# one value past 2^2n, which fails on a few of 20,000 draws.  (A random sweep
+# runs in blocks only where the library targets AVX2; elsewhere this checks
+# the scalar loop.)
+@needs_compiled
+def test_random_blocks_find_the_first_failure_like_pure(monkeypatch):
+    _blocks_match_pure(monkeypatch, {"y": lambda n: (1 << 2 * n) + 2}, "random",
+                       samples=20_000, seed=0)
 
 
 _PARITY = [(unit, n, 0, mode) for unit in ("csa", "normalize")
