@@ -13,7 +13,8 @@
  * block of cases runs several cases per vector instruction.  Exhaustive
  * sweeps always run in such blocks; random sweeps do where the target has
  * AVX2 (its 32-bit vector multiplies build the draw's 64-bit ones), and
- * elsewhere run one case at a time, which is faster there.  Internal helpers
+ * elsewhere run one case at a time, which is faster there.  Either way a
+ * random case draws its fields through draw_at.  Internal helpers
  * are static so the case loop never calls through the PLT; the exported
  * helpers exist for parity tests.
  */
@@ -388,12 +389,12 @@ INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
 }
 
 /* d mod span, for a draw d and the span of field f, of the kind the shape
- * says.  The vector loop's remainders by m and by 2^a (2^4n - 1), a = n + p,
- * fold: by m end-around (2^2n = -1), which reduces 64 bits exactly from
- * n = 11 on, where they make three 2n-bit chunks; by 2^a (2^4n - 1) in its
- * low a bits and one Mersenne fold (2^4n = 1) of the 64 - a bits above them,
- * exact from n = 8 on, where they make less than two 4n-bit chunks.  Other
- * remainders are 64-bit ones. */
+ * says.  The remainders by m and by 2^a (2^4n - 1), a = n + p, fold: by m
+ * end-around (2^2n = -1) in the vector loop (mod_m), which reduces 64 bits
+ * exactly from n = 11 on, where they make three 2n-bit chunks; by
+ * 2^a (2^4n - 1) in either loop, in its low a bits and one Mersenne fold
+ * (2^4n = 1) of the 64 - a bits above them, exact from n = 8 on, where they
+ * make less than two 4n-bit chunks.  Other remainders are 64-bit ones. */
 INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d, uint64_t span)
 {
     int a = c->n + c->p, q4 = 4 * c->n;
@@ -437,8 +438,9 @@ INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
  * lo the same way, each of BLOCK counted steps that mask off the cases past
  * hi: a fixed trip count leaves gcc no vector epilogue to emit per loop.
- * Its draws fold their remainders (draw_mod).  Elsewhere, where a 64-bit
- * vector multiply costs more than it saves, it runs one case at a time. */
+ * Elsewhere, where a 64-bit vector multiply costs more than it saves, it
+ * runs one case at a time.  Both loops draw each case through draw_at, so
+ * their remainders fold alike (draw_mod). */
 INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
                   int nf, unsigned shape, const uint64_t *span, const uint64_t *base,
                   const uint64_t *slot, int random, uint64_t seed, uint64_t lo, uint64_t hi,
@@ -474,14 +476,9 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
             failures += mismatches;
         }
 #else
-        for (uint64_t k = lo; k < hi; k++) {
-            for (f = 0; f < nf; f++) {
-                uint64_t d = mix64(key[f] + k * (SLOTS * GOLDEN));
-                v[f] = b[f] + (shape >> f & 1 ? d % sp[f] : d & (sp[f] - 1));
-            }
-            if (bad(c, v) && failures++ == 0)
+        for (uint64_t k = lo; k < hi; k++)
+            if (draw_at(c, bad, nf, shape, key, sp, b, k) && failures++ == 0)
                 first = (int64_t)k;
-        }
 #endif
     } else {
         uint64_t sh[MAX_FIELDS], mk[MAX_FIELDS], wrap = 1, idx, u, j;

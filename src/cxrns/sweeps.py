@@ -4,7 +4,7 @@ A sweep runs one unit over an exhaustive index space or a seeded random
 stream, counts mismatches against plain modular arithmetic, and reports
 the lowest failing case.  Hot sweeps dispatch to the compiled kernels of
 ``_kernels.c`` when a C compiler built them and the unit's kernel accepts
-the sweep (see ``_runner``); everything else runs on the pure-Python case
+the sweep (see ``_kernel_run``); everything else runs on the pure-Python case
 engine of ``oracle``.
 
 Each unit is one entry of ``UNITS``: its input fields and a case function
@@ -63,7 +63,7 @@ class Unit(NamedTuple):
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
     The ``sweep_<unit>`` export of ``_kernels.c`` runs the same fields
-    through its own case function, and itself declines (see ``_runner``)
+    through its own case function, and itself declines (see ``_kernel_run``)
     a width or a field past what that case function computes exactly;
     such a sweep runs on the pure engine.  ``kernel_args(n, p)`` gives the
     kernel's extra arguments.
@@ -281,21 +281,27 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
                         os.unlink(stale)
                     except OSError:  # gone already, or not ours to remove: keep loading
                         pass
-        kernels = ctypes.CDLL(lib)
+        return _open(lib)
     except OSError:
+        return None
+    except AttributeError as missing:
+        warnings.warn(f"{missing}, sweeps run in pure Python", RuntimeWarning)
         return None
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def _open(lib: str):
+    """The library at path `lib` with every export of ``_SIGNATURES`` typed.
+    Raises OSError when it does not load, AttributeError when it lacks an
+    export."""
+    kernels = ctypes.CDLL(lib)
     for name, (restype, argtypes) in _SIGNATURES.items():
-        try:
-            export = getattr(kernels, name)
-        except AttributeError:
-            warnings.warn(f"{lib} has no export {name}, sweeps run in pure Python",
-                          RuntimeWarning)
-            return None
-        export.restype = restype
-        export.argtypes = argtypes
+        if not hasattr(kernels, name):
+            raise AttributeError(f"{lib} has no export {name}")
+        export = getattr(kernels, name)
+        export.restype, export.argtypes = restype, argtypes
     return kernels
 
 
@@ -307,35 +313,43 @@ _C = _load_kernels()
 def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable,
             mode: str, seed: int, force_pure: bool) -> tuple[Callable, str]:
     """(run, backend): run(lo, hi) sweeps cases [lo, hi) and returns (failures,
-    first failing index or -1) on the backend named "compiled" or "pure".
+    first failing index or -1) on the backend named "compiled" or "pure"."""
+    run = None if force_pure or _C is None else _kernel_run(_C, unit, params, fields, mode, seed)
+    return (run, "compiled") if run else (functools.partial(sweep, fields, case, mode, seed), "pure")
 
-    The unit's kernel alone decides whether it runs the sweep: asked once
-    with an empty range, it declines (returns 1) a width past its SWEEP
-    line's top or a field past its case function's bounds.  A span or a
-    largest value past 2^64 - 1, which ctypes would wrap silently, never
-    reaches it.  A kernel call releases the GIL, so compiled runs of
-    disjoint ranges run in parallel threads.
+
+def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], mode: str,
+                seed: int) -> Callable | None:
+    """run(lo, hi), which runs cases [lo, hi) of the sweep on the export
+    ``sweep_<unit>`` of `kernels`, or None when the kernel declines the sweep.
+
+    The kernel alone decides: asked once with an empty range, it declines
+    (returns 1) a width past its SWEEP line's top or a field past its case
+    function's bounds.  A span or a largest value past 2^64 - 1, which ctypes
+    would wrap silently, never reaches it.  A kernel call releases the GIL,
+    so runs of disjoint ranges run in parallel threads.
     """
-    if _C is not None and not force_pure and all(
-            max(f.span, f.base + f.span - 1) < 1 << 64 for f in fields):
-        kernel = getattr(_C, f"sweep_{unit}")
-        column = _U64 * len(fields)
-        args = (params.n, (_I64 * 4)(*UNITS[unit].kernel_args(params.n, params.p)),
-                len(fields), column(*(f.span for f in fields)),
-                column(*(f.base for f in fields)), column(*(f.slot for f in fields)),
-                mode == "random", seed)
-        status = kernel(*args, 0, 0, (_I64 * 2)())
-        if status < 0:
-            raise RuntimeError(f"the {unit} kernel takes a different number of "
-                               f"fields than the {unit} spec")
-        if status == 0:
-            def run(lo: int, hi: int) -> tuple[int, int]:
-                out = (_I64 * 2)()
-                kernel(*args, lo, hi, out)
-                return out[0], out[1]
+    if any(max(f.span, f.base + f.span - 1) >= 1 << 64 for f in fields):
+        return None
+    kernel = getattr(kernels, f"sweep_{unit}")
+    column = _U64 * len(fields)
+    args = (params.n, (_I64 * 4)(*UNITS[unit].kernel_args(params.n, params.p)),
+            len(fields), column(*(f.span for f in fields)),
+            column(*(f.base for f in fields)), column(*(f.slot for f in fields)),
+            mode == "random", seed)
+    status = kernel(*args, 0, 0, (_I64 * 2)())
+    if status < 0:
+        raise RuntimeError(f"the {unit} kernel takes a different number of "
+                           f"fields than the {unit} spec")
+    if status:
+        return None
 
-            return run, "compiled"
-    return functools.partial(sweep, fields, case, mode, seed), "pure"
+    def run(lo: int, hi: int) -> tuple[int, int]:
+        out = (_I64 * 2)()
+        kernel(*args, lo, hi, out)
+        return out[0], out[1]
+
+    return run
 
 
 def _split(total: int, workers: int) -> list[tuple[int, int]]:

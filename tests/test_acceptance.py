@@ -7,7 +7,7 @@ dynamic-range criterion demands exact integer matches (tolerance 0).
 
 import pytest
 
-from cxrns import cli, sweeps
+from cxrns import cli, forward, reverse, sweeps
 from cxrns.core import f_set, moduli_set_build
 
 SEED = 20260809
@@ -100,6 +100,7 @@ DR_TABLE = [
     ("31,128,511", 2_027_648, True),
     ("15,17,32,g4", 2_097_120, True),
     ("15,31,32,g4", 3_824_160, True),
+    ("4096,31,33,g5", 4_294_963_200, True),  # the paper's 32-bit set: 2^32 - 2^12
 ]
 
 
@@ -112,6 +113,20 @@ def test_dynamic_range_reproduction():
     _line("dynamic-range-reproduction", not mismatches,
           f"{len(DR_TABLE)} sets, exact match, tolerance 0"
           + (f"; mismatches={mismatches}" if mismatches else ""))
+
+
+def test_paper_32_bit_moduli_set(capsys):
+    # The abstract's n = 5 set with a 12-bit power-of-two channel,
+    # {2^12, 31, 33, 2^5 -+ j}, covers 2^32 - 2^12 values: 2^12 short of 2^32.
+    mset = moduli_set_build(cli.parse_set("4096,31,33,g5"))
+    plan = reverse.ncrt_plan(mset)
+    assert mset.dynamic_range == (1 << 32) - (1 << 12)
+    values = [0, 1 << 31, 4_000_000_000, mset.dynamic_range - 1]
+    back = [reverse.ncrt_reverse(forward.forward_std(z, mset), plan) for z in values]
+    assert cli.main(["convert", "--set", "4096,31,33,g5", "--forward", "4000000000"]) == 0
+    out = capsys.readouterr().out
+    _line("paper-32-bit-set", back == values and "-> [2048, 2, 7, 25]" in out,
+          f"range {mset.dynamic_range:,}; round trips of {values}; convert printed {out.strip()!r}")
 
 
 def test_synthesis_metrics_excluded():

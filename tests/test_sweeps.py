@@ -344,13 +344,9 @@ def _kernel_status(unit, n, p=0, width=None):
     """What sweep_<unit> returns, asked with an empty case range at `width`
     (by default n), for the unit's spec at width n: 0 when it runs the spec,
     1 when it declines it."""
-    spec = sweeps.UNITS[unit]
-    fields, _ = spec.build(Params(n, p))
-    column = ctypes.c_uint64 * len(fields)
-    return getattr(sweeps._C, f"sweep_{unit}")(
-        n if width is None else width, (ctypes.c_int64 * 4)(*spec.kernel_args(n, p)),
-        len(fields), column(*(f.span for f in fields)), column(*(f.base for f in fields)),
-        column(*(f.slot for f in fields)), 1, 0, 0, 0, (ctypes.c_int64 * 2)())
+    fields, _ = sweeps.UNITS[unit].build(Params(n, p))
+    params = Params(n if width is None else width, p)
+    return 1 if sweeps._kernel_run(sweeps._C, unit, params, fields, "random", 0) is None else 0
 
 
 def _pure_and_compiled(unit, n, status=0, **kw):
@@ -760,18 +756,55 @@ def test_planted_fault_reported_identically_by_both_backends(monkeypatch, mode):
     assert report.counterexample["y"] == 65
 
 
-@needs_compiled
-@pytest.mark.parametrize("mode", ["exhaustive", "random"])
-@pytest.mark.parametrize("unit,names,n,planted", [
+_PLANTED = [
     # The end-around fold takes one carry out of position 2n; z1 = z0 = 2^2n
     # makes a second one.
     pytest.param("csa", ("z1", "z0"), 2, {"z1": 16, "z0": 16}, id="csa"),
     # borrow = 2 is no bit: NOT(borrow) in the sparse word becomes 3.
     pytest.param("normalize", ("borrow",), 3, {"borrow": 2}, id="normalize"),
-])
+]
+
+
+@needs_compiled
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+@pytest.mark.parametrize("unit,names,n,planted", _PLANTED)
 def test_planted_fault_in_csa_and_normalize_reported_identically(monkeypatch, unit, names,
                                                                  n, planted, mode):
     report = _planted_reports(monkeypatch, unit, names, n, mode)
+    assert {k: report.counterexample[k] for k in planted} == planted
+
+
+@pytest.fixture(scope="module")
+def portable_kernels(tmp_path_factory):
+    """The kernels built without -march, at -O0 to build fast, where the
+    target has no AVX2 (x86-64's default target has none): their random
+    sweeps run one case at a time, a loop a library built for an AVX2 host
+    does not hold."""
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) on PATH")
+    flags = [*cc, "-O0", "-std=c99", sweeps._KERNELS_C]
+    macros = subprocess.run([*flags, "-dM", "-E"], capture_output=True, text=True, check=True)
+    if "#define RANDOM_BLOCKS 0" not in macros.stdout:
+        pytest.skip("the compiler's default target has AVX2")
+    lib = tmp_path_factory.mktemp("portable") / "_kernels.so"
+    subprocess.run([*flags, "-shared", "-fPIC", "-o", str(lib)], capture_output=True, check=True)
+    return sweeps._open(str(lib))
+
+
+# The random checks above, run by the one-case-at-a-time loop of a portable build.
+def test_portable_random_loop_finds_the_first_failure_like_pure(monkeypatch, portable_kernels):
+    monkeypatch.setattr(sweeps, "_C", portable_kernels)
+    _blocks_match_pure(monkeypatch, {"y": lambda n: (1 << 2 * n) + 2}, "random",
+                       samples=20_000, seed=0)
+
+
+@pytest.mark.parametrize("unit,names,n,planted", [
+    pytest.param("multiplier", ("y",), 3, {"y": 65}, id="multiplier"), *_PLANTED])
+def test_portable_random_loop_reports_planted_faults_like_pure(monkeypatch, portable_kernels,
+                                                              unit, names, n, planted):
+    monkeypatch.setattr(sweeps, "_C", portable_kernels)
+    report = _planted_reports(monkeypatch, unit, names, n, "random")
     assert {k: report.counterexample[k] for k in planted} == planted
 
 

@@ -21,14 +21,15 @@ returned the same (failures, first failing index) on every call.
 
 ``--base-lib`` and ``--change-lib`` load libraries built elsewhere (say,
 without ``-march=native``) instead of building.  Exits 1 when any call's
-(failures, first) differs between the two sides.
+(failures, first) differs between the two sides, and with a one-line
+message when a library does not load or lacks an export.
 """
 
 from __future__ import annotations
 
 import argparse
-import ctypes
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -46,7 +47,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from cxrns import sweeps  # noqa: E402
 from cxrns.core import Params  # noqa: E402
+from cxrns.oracle import case_count  # noqa: E402
 from bench import EXHAUSTIVE, RANDOM, sweep_seeds  # noqa: E402
+from run import cpu_model  # noqa: E402
 
 RANDOM_CASES = 2_000_000  # per call, unless --cases says otherwise
 CALLS = 3  # a timed sample is the best of this many calls
@@ -70,16 +73,6 @@ def build(rev: str | None, cache: Path):
     return kernels
 
 
-def load(path: str):
-    """A library built elsewhere, with the signatures cxrns.sweeps declares."""
-    kernels = ctypes.CDLL(os.path.abspath(path))
-    for name, (restype, argtypes) in sweeps._SIGNATURES.items():
-        export = getattr(kernels, name)
-        export.restype = restype
-        export.argtypes = argtypes
-    return kernels
-
-
 def describe(kernels, rev: str | None) -> dict:
     path = Path(kernels._name)
     commit = None
@@ -97,27 +90,12 @@ def sweep_call(kernels, unit: str, n: int, mode: str, seed: int, cases: int | No
     (failures, first failing index)."""
     params = Params(n)
     fields, _ = sweeps.UNITS[unit].build(params)
-    total = 1
-    for f in fields:
-        total *= f.span
-    if cases is None:
-        cases = total if mode == "exhaustive" else RANDOM_CASES
-    if mode == "exhaustive":
-        cases = min(cases, total)
-    column = ctypes.c_uint64 * len(fields)
-    kernel = getattr(kernels, f"sweep_{unit}")
-    args = (n, (ctypes.c_int64 * 4)(*sweeps.UNITS[unit].kernel_args(n, 0)), len(fields),
-            column(*(f.span for f in fields)), column(*(f.base for f in fields)),
-            column(*(f.slot for f in fields)), mode == "random", seed)
-    out = (ctypes.c_int64 * 2)()
-    if kernel(*args, 0, 0, out) != 0:
+    total = case_count(fields, mode, cases or RANDOM_CASES, seed)
+    cases = min(cases or total, total)
+    run = sweeps._kernel_run(kernels, unit, params, fields, mode, seed)
+    if run is None:
         raise SystemExit(f"{kernels._name} declines {unit} n={n}")
-
-    def call():
-        kernel(*args, 0, cases, out)
-        return out[0], out[1]
-
-    return call, cases
+    return functools.partial(run, 0, cases), cases
 
 
 def timed(call, cases: int) -> tuple[float, tuple[int, int]]:
@@ -128,17 +106,6 @@ def timed(call, cases: int) -> tuple[float, tuple[int, int]]:
         result = call()
         best = min(best, perf_counter() - start)
     return cases / best / 1e6, result
-
-
-def cpu_model() -> str:
-    try:
-        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as f:
-            for line in f:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor() or platform.machine()
 
 
 def quartiles(rates: list[float]) -> dict:
@@ -194,7 +161,10 @@ def main(argv=None) -> int:
         for name, rev, lib in (("base", args.base, args.base_lib),
                                ("change", None, args.change_lib)):
             if lib:
-                kernels, rev = load(lib), None
+                try:
+                    kernels, rev = sweeps._open(os.path.abspath(lib)), None
+                except (OSError, AttributeError) as err:  # one line, no traceback
+                    raise SystemExit(str(err))
             else:
                 cache = Path(tmp) / name
                 cache.mkdir()
