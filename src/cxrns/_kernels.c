@@ -21,11 +21,8 @@
 
 #include <stdint.h>
 
-#if defined(__GNUC__)
+/* GNU C, as the __int128 and __builtin_ calls below need anyway */
 #define INLINE static inline __attribute__((always_inline))
-#else
-#define INLINE static inline
-#endif
 
 #define MAX_FIELDS 8
 #define SLOTS 8
@@ -119,11 +116,6 @@ INLINE uint64_t mix64(uint64_t x)
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
     x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
     return x ^ (x >> 31);
-}
-
-INLINE uint64_t draw64(uint64_t seed, uint64_t counter)
-{
-    return mix64(seed + (counter + 1) * GOLDEN);
 }
 
 /* --- dataflow --------------------------------------------------------------- */
@@ -410,7 +402,7 @@ INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d,
 }
 
 /* Whether random case k of the current run is a mismatch: field f takes the
- * value b[f] + draw64(seed, SLOTS k + slot[f]) mod sp[f], the draw keyed by
+ * value b[f] + draw(seed, SLOTS k + slot[f]) mod sp[f], the draw keyed by
  * key[f]. */
 INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
                    int nf, unsigned shape, const uint64_t *key, const uint64_t *sp,
@@ -452,7 +444,7 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     for (f = 0; f < nf; f++) {
         sp[f] = span[f];
         b[f] = shape & BASED ? base[f] : 0;
-        key[f] = seed + (slot[f] + 1) * GOLDEN;  /* draw64(seed, SLOTS k + slot) at k = 0 */
+        key[f] = seed + (slot[f] + 1) * GOLDEN;  /* draw(seed, SLOTS k + slot) at k = 0 */
     }
     /* Where random sweeps run in blocks, the hint lays them out after the
      * exhaustive loops.  In line, they moved the exhaustive loops' register
@@ -593,7 +585,7 @@ SWEEP(normalize, 4, 0u, 31, 30)
 
 uint64_t draw(uint64_t seed, uint64_t counter)
 {
-    return draw64(seed, counter);
+    return mix64(seed + (counter + 1) * GOLDEN);
 }
 
 void add_fields(int n, uint64_t xr, uint64_t xi, uint64_t xz, uint64_t yr, uint64_t yb,

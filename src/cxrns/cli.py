@@ -204,10 +204,9 @@ def _cmd_verify(args) -> int:
         print(report.to_json())
     else:
         status = "ok" if report.ok else "FAIL"
-        backend = sweeps.backend_name(report.unit, report.n, args.p)
         print(f"verify {report.unit} n={report.n} {report.mode}: "
               f"cases={report.cases} failures={report.failures} "
-              f"({report.wall_time_s:.3f}s) [{backend}] {status}")
+              f"({report.wall_time_s:.3f}s) [{report.backend}] {status}")
         if report.counterexample:
             print(f"  first counterexample: {report.counterexample}")
     return 0 if report.ok else 1

@@ -133,10 +133,11 @@ def sweep(fields: tuple[Field, ...], case: Callable, mode: str, seed: int,
     return (first >= 0) + sum(1 for _ in bad), first
 
 
-def report(unit: str, n: int, mode: str, seed: int, fields: tuple[Field, ...],
-           case: Callable, cases: int, results: list[tuple[int, int]],
-           start: float) -> VerifyReport:
-    """Merge the (failures, first) results of a sweep's chunks into its report.
+def report(unit: str, n: int, p: int, mode: str, seed: int, backend: str,
+           fields: tuple[Field, ...], case: Callable, cases: int,
+           results: list[tuple[int, int]], start: float) -> VerifyReport:
+    """Merge the (failures, first) results of a sweep's chunks, run on
+    `backend`, into its report.
 
     The counterexample is the lowest failing case: its verbatim inputs, in
     field order, plus got/want values.
@@ -150,9 +151,11 @@ def report(unit: str, n: int, mode: str, seed: int, fields: tuple[Field, ...],
     return VerifyReport(
         unit=unit,
         n=n,
+        p=p,
         mode=mode,
         cases=cases,
         failures=sum(failures for failures, _ in results),
+        backend=backend,
         counterexample=counterexample,
         seed=seed if mode == "random" else None,
         wall_time_s=time.perf_counter() - start,

@@ -35,9 +35,11 @@ class VerifyReport:
 
     unit: str
     n: int
+    p: int  # the roundtrip set's extension exponent; 0 for every other unit
     mode: str  # "exhaustive" | "random"
     cases: int
     failures: int
+    backend: str  # "compiled" | "pure": what ran the cases
     counterexample: Optional[dict] = None
     seed: Optional[int] = None
     wall_time_s: float = 0.0
@@ -47,10 +49,11 @@ class VerifyReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        """The fields in declaration order; a counterexample or seed of None is left out."""
+        """The fields in declaration order; a p of 0, and a counterexample or
+        seed of None, is left out."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
-        for optional in ("counterexample", "seed"):
-            if d[optional] is None:
+        for optional, absent in (("p", 0), ("counterexample", None), ("seed", None)):
+            if d[optional] == absent:
                 del d[optional]
         return d
 

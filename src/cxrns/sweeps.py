@@ -20,6 +20,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -42,16 +43,13 @@ from .reporting import VerifyReport
 
 
 def compiled_available() -> bool:
-    return _C is not None
+    return _kernels() is not None
 
 
-def backend_name(unit: str | None = None, n: int = 2, p: int = 0) -> str:
-    """The backend, "compiled" or "pure", that the kernel picks for a sweep of
-    `unit` at width n and extension p; without a unit, whether the kernels loaded."""
-    if unit is None:
-        return "compiled" if _C is not None else "pure"
-    params = Params(n, p)
-    return _runner(unit, params, *UNITS[unit].build(params), "random", 0, False)[1]
+def backend_name() -> str:
+    """"compiled" when the kernels loaded, else "pure".  Which backend ran a
+    sweep is its report's ``backend``."""
+    return "pure" if _kernels() is None else "compiled"
 
 
 # --- unit specs -----------------------------------------------------------------
@@ -243,7 +241,7 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
     hash of the feature list, so a cache shared between two machines never
     runs one CPU's instructions on the other.  Elsewhere the build is the
     compiler's portable one, named ``generic``.  The library is written
-    under a temporary name first, so concurrent first imports are safe.  A
+    under a temporary name first, so concurrent first loads are safe.  A
     build removes the libraries of earlier sources from `cache`.  Returns
     None (pure Python) without a C compiler, when the build fails, when the
     library lacks an export of ``_SIGNATURES`` or when the cache cannot be
@@ -305,18 +303,21 @@ def _open(lib: str):
     return kernels
 
 
-_C = _load_kernels()
+_C = _UNLOADED = object()  # the loaded kernels, or None for pure Python; see _kernels
+_LOADING = threading.Lock()
+
+
+def _kernels():
+    """The compiled kernels, or None: loaded (and built, on a cold cache) by the
+    first call, not on import, so commands that run no sweep build nothing."""
+    global _C
+    with _LOADING:
+        if _C is _UNLOADED:
+            _C = _load_kernels()
+    return _C
 
 
 # --- chunk runners ---------------------------------------------------------------
-
-def _runner(unit: str, params: Params, fields: tuple[Field, ...], case: Callable,
-            mode: str, seed: int, force_pure: bool) -> tuple[Callable, str]:
-    """(run, backend): run(lo, hi) sweeps cases [lo, hi) and returns (failures,
-    first failing index or -1) on the backend named "compiled" or "pure"."""
-    run = None if force_pure or _C is None else _kernel_run(_C, unit, params, fields, mode, seed)
-    return (run, "compiled") if run else (functools.partial(sweep, fields, case, mode, seed), "pure")
-
 
 def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], mode: str,
                 seed: int) -> Callable | None:
@@ -381,8 +382,13 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
         raise ValueError(f"workers must be >= 1, got {workers}")
     fields, case = UNITS[unit].build(params)
     total = case_count(fields, mode, samples, seed)
+    kernels = None if force_pure else _kernels()
     start = time.perf_counter()
-    run, _ = _runner(unit, params, fields, case, mode, seed, force_pure)
+    # The kernel's verdict, asked once: it runs the sweep, or the pure engine does.
+    run = None if kernels is None else _kernel_run(kernels, unit, params, fields, mode, seed)
+    backend = "pure" if run is None else "compiled"
+    if run is None:
+        run = functools.partial(sweep, fields, case, mode, seed)
     # os.cpu_count() costs a few µs, a tenth of a short sweep's fixed cost.
     chunks = _split(total, min(workers, os.cpu_count() or 1) if workers > 1 else 1)
     if len(chunks) == 1:
@@ -390,4 +396,4 @@ def run_verify(unit: str, n: int, *, p: int = 0, mode: str = "exhaustive",
     else:
         with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             results = list(pool.map(run, *zip(*chunks)))
-    return report(unit, n, mode, seed, fields, case, total, results, start)
+    return report(unit, n, p, mode, seed, backend, fields, case, total, results, start)

@@ -197,14 +197,24 @@ def test_verify_json_schema_and_round_trip(capsys):
     code, out, _ = run_cli(capsys, "verify", "multiplier", "--n", "2", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert list(doc) == ["unit", "n", "mode", "cases", "failures", "wall_time_s"]
+    assert list(doc) == ["unit", "n", "mode", "cases", "failures", "backend", "wall_time_s"]
+    assert doc["backend"] == ("compiled" if sweeps.compiled_available() else "pure")
     # parsing and re-emitting is byte-identical
     assert dumps_report(doc) == out.strip()
 
 
+def test_verify_json_names_p(capsys):
+    # A p = 2 sweep covers another case space than p = 0, so its report says so.
+    code, out, _ = run_cli(capsys, "verify", "roundtrip", "--n", "3", "--p", "2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["p"] == 2
+    assert (doc["cases"], doc["failures"]) == (((1 << 12) - 1) << 5, 0)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    failing = VerifyReport(unit="adder", n=2, mode="exhaustive", cases=10,
-                           failures=1, counterexample={"x": 1}, wall_time_s=0.0)
+    failing = VerifyReport(unit="adder", n=2, p=0, mode="exhaustive", cases=10, failures=1,
+                           backend="pure", counterexample={"x": 1}, wall_time_s=0.0)
     monkeypatch.setattr(cli.sweeps, "run_verify", lambda *a, **kw: failing)
     code, out, _ = run_cli(capsys, "verify", "adder", "--n", "2")
     assert code == 1
@@ -245,6 +255,25 @@ def test_verify_names_pure_for_a_spec_its_kernel_declines(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "multiplier", "--n", "3")
     assert code == 1
     assert "[pure] FAIL" in out
+
+
+def test_only_verify_loads_the_kernels(monkeypatch, capsys):
+    # Loading may mean building the whole library, tens of seconds on a cold
+    # cache: commands that run no sweep must not pay for it.
+    def refuse(*args):
+        raise AssertionError("the kernels were loaded")
+
+    monkeypatch.setattr(sweeps, "_C", sweeps._UNLOADED)
+    monkeypatch.setattr(sweeps, "_load_kernels", refuse)
+    for argv in (["dr", "31,32,63"], ["convert", "--set", "f:n=5", "--forward", "29999999"],
+                 ["op", "mul", "7", "9", "--n", "3", "--trace"]):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    loads = []
+    monkeypatch.setattr(sweeps, "_load_kernels", lambda: loads.append(1))
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "verify", "multiplier", "--n", "2")
+        assert code == 0 and "[pure] ok" in out
+    assert loads == [1]
 
 
 @pytest.mark.parametrize("unit,cases", [("csa", 1024), ("checkpoint", 256)])

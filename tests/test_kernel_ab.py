@@ -18,7 +18,7 @@ def test_kernel_ab_appends_one_record_per_run(tmp_path):
     # 1,000 cases of each benchmark sweep, twice, appends two records whose
     # sides agree on every call.
     out = tmp_path / "BENCH_kernels.json"
-    lib = sweeps._C._name
+    lib = sweeps._kernels()._name
     for runs in (1, 2):
         done = subprocess.run([sys.executable, str(TOOL), "--base-lib", lib, "--change-lib", lib,
                                "--rounds", "1", "--cases", "1000", "--out", str(out)],
@@ -48,8 +48,9 @@ def test_kernel_ab_names_a_missing_export_in_one_line(monkeypatch, tmp_path):
     [lib] = (tmp_path / "cache").glob("*.so")
     out = tmp_path / "BENCH_kernels.json"
     done = subprocess.run([sys.executable, str(TOOL), "--base-lib", str(lib),
-                           "--change-lib", sweeps._C._name, "--rounds", "1", "--cases", "1000",
-                           "--out", str(out)], capture_output=True, text=True, timeout=300)
+                           "--change-lib", sweeps._kernels()._name, "--rounds", "1",
+                           "--cases", "1000", "--out", str(out)],
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 1
     assert done.stderr == f"{lib} has no export sweep_normalize\n"  # one line, no traceback
     assert not out.exists()

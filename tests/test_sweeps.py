@@ -10,6 +10,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -69,7 +71,7 @@ def _fields4(export, *args):
 def test_prng_stream_identical_across_backends():
     for seed in (0, 1, 0xDEADBEEF):
         for counter in list(range(40)) + [10**6, 2**60]:
-            assert sweeps._C.draw(seed, counter) == oracle._draw(seed, counter)
+            assert sweeps._kernels().draw(seed, counter) == oracle._draw(seed, counter)
 
 
 @needs_compiled
@@ -80,7 +82,7 @@ def test_scalar_kernels_match_python_dataflow():
     from cxrns.forward import forward_22n1
     from cxrns.core import Params, dim1_value
 
-    compiled = sweeps._C
+    compiled = sweeps._kernels()
     rng = random.Random(3)
     for _ in range(3000):
         n = rng.randint(2, 31)
@@ -111,7 +113,7 @@ def _copy_library_as_compiler(monkeypatch):
     """Make a build copy the library this session already loaded instead of
     compiling _kernels.c again: a full build takes seconds."""
     def compile_(cmd, **kwargs):
-        shutil.copyfile(sweeps._C._name, cmd[cmd.index("-o") + 1])
+        shutil.copyfile(sweeps._kernels()._name, cmd[cmd.index("-o") + 1])
         return subprocess.CompletedProcess(cmd, 0, "", "")
 
     monkeypatch.setattr(sweeps.subprocess, "run", compile_)
@@ -218,9 +220,35 @@ def test_no_compiler_means_pure_backend(monkeypatch, tmp_path):
     assert not sweeps.compiled_available()
     assert sweeps.backend_name() == "pure"
     report = sweeps.run_verify("multiplier", 3)
-    assert (report.cases, report.failures) == (65 * 65, 0)
+    assert (report.cases, report.failures, report.backend) == (65 * 65, 0, "pure")
     report = sweeps.run_verify("adder", 5, mode="random", samples=500, seed=1)
     assert (report.cases, report.failures) == (500, 0)
+
+
+def test_concurrent_first_sweeps_load_the_kernels_once(monkeypatch):
+    # Two builds in one process would write the same temporary library.
+    kernels, loads = object(), []
+
+    def load():
+        loads.append(1)
+        time.sleep(0.01)  # a window for the other threads
+        return kernels
+
+    monkeypatch.setattr(sweeps, "_C", sweeps._UNLOADED)
+    monkeypatch.setattr(sweeps, "_load_kernels", load)
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(sweeps._kernels())) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert loads == [1] and got == [kernels] * 8
 
 
 def test_failed_compile_warns_with_compiler_output(monkeypatch, tmp_path):
@@ -251,23 +279,28 @@ def test_unwritable_cache_means_pure_backend(tmp_path):
     assert sweeps._load_kernels(str(blocker / "__pycache__")) is None
 
 
+def _backend(unit, n, p=0):
+    """The backend that ran a one-case random sweep of `unit` at width n."""
+    return sweeps.run_verify(unit, n, p=p, mode="random", samples=1).backend
+
+
 @needs_compiled
 def test_compiled_support_gates(monkeypatch):
     # The loaded kernels answer: a width past a kernel's top runs pure.
     for unit in ("csa", "normalize"):
-        assert sweeps.backend_name(unit, 2) == "compiled"
-        assert sweeps.backend_name(unit, 31) == "compiled"
-    assert sweeps.backend_name("forward", 12) == "compiled"
-    assert sweeps.backend_name("forward", 13) == "pure"
-    assert sweeps.backend_name("roundtrip", 10) == "compiled"
-    assert sweeps.backend_name("roundtrip", 11) == "pure"
-    assert sweeps.backend_name("multiplier", 31) == "compiled"
-    assert sweeps.backend_name("checkpoint", 30) == "compiled"
-    assert sweeps.backend_name("checkpoint", 31) == "pure"
-    assert sweeps.backend_name("roundtrip", 10, 10) == "compiled"
+        assert _backend(unit, 2) == "compiled"
+        assert _backend(unit, 31) == "compiled"
+    assert _backend("forward", 12) == "compiled"
+    assert _backend("forward", 13) == "pure"
+    assert _backend("roundtrip", 10) == "compiled"
+    assert _backend("roundtrip", 11) == "pure"
+    assert _backend("multiplier", 31) == "compiled"
+    assert _backend("checkpoint", 30) == "compiled"
+    assert _backend("checkpoint", 31) == "pure"
+    assert _backend("roundtrip", 10, 10) == "compiled"
     assert sweeps.backend_name() == "compiled"
     monkeypatch.setattr(sweeps, "_C", None)
-    assert sweeps.backend_name("multiplier", 2) == sweeps.backend_name() == "pure"
+    assert _backend("multiplier", 2) == sweeps.backend_name() == "pure"
 
 
 def test_every_unit_has_a_kernel():
@@ -277,7 +310,7 @@ def test_every_unit_has_a_kernel():
     for unit in sweeps.UNITS:
         assert f"SWEEP({unit}," in source, unit
         if sweeps.compiled_available():
-            assert getattr(sweeps._C, f"sweep_{unit}").argtypes, unit
+            assert getattr(sweeps._kernels(), f"sweep_{unit}").argtypes, unit
 
 
 with open(sweeps._KERNELS_C) as _f:
@@ -346,20 +379,29 @@ def _kernel_status(unit, n, p=0, width=None):
     1 when it declines it."""
     fields, _ = sweeps.UNITS[unit].build(Params(n, p))
     params = Params(n if width is None else width, p)
-    return 1 if sweeps._kernel_run(sweeps._C, unit, params, fields, "random", 0) is None else 0
+    run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, "random", 0)
+    return 1 if run is None else 0
+
+
+def _same_but_backend(reports, verdict):
+    """Checks that the reports, minus wall time and backend, are equal, and that
+    the first ran pure and the others on the backend the kernel's `verdict`
+    names (0: it runs the spec, 1: it declines it)."""
+    backends = [report.pop("backend") for report in reports]
+    assert backends == ["pure"] + ["pure" if verdict else "compiled"] * (len(reports) - 1)
+    for report in reports:
+        report.pop("wall_time_s")
+    assert all(report == reports[0] for report in reports)
 
 
 def _pure_and_compiled(unit, n, status=0, **kw):
-    """The pure report of one sweep, minus wall time, checked equal to the one
-    without force_pure, after checking that the kernel returns `status` for
-    the spec: 0 when it runs it, 1 when the sweep runs pure (None: not asked)."""
-    if status is not None:
-        assert _kernel_status(unit, n, kw.get("p", 0)) == status, (unit, n, kw)
+    """The pure report of one sweep, minus wall time and backend, checked equal
+    to the one without force_pure, after checking that the kernel returns
+    `status` for the spec: 0 when it runs it, 1 when the sweep runs pure."""
+    assert _kernel_status(unit, n, kw.get("p", 0)) == status, (unit, n, kw)
     reports = [sweeps.run_verify(unit, n, force_pure=force_pure, **kw).to_dict()
                for force_pure in (True, False)]
-    for report in reports:
-        report.pop("wall_time_s")
-    assert reports[0] == reports[1], (unit, n, kw)
+    _same_but_backend(reports, status)
     return reports[0]
 
 
@@ -372,8 +414,8 @@ def _exhaustive_chunks_match_pure(unit, n, p=0, starts=None):
     total = math.prod(f.span for f in fields)
     if total > sys.maxsize:
         return 0
-    assert _kernel_status(unit, n, p) == 0, (unit, n, p)
-    run, _ = sweeps._runner(unit, params, fields, case, "exhaustive", 0, False)
+    run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, "exhaustive", 0)
+    assert run is not None, (unit, n, p)
     failures = 0
     for lo in starts or sorted({0, total // 2, max(0, total - 1000)}):
         # Each case decoded on its own: oracle.sweep would step to lo one case at a time.
@@ -478,7 +520,7 @@ def test_widths_past_top_are_declined(unit):
     top = _TOP[unit]
     assert _kernel_status(unit, top) == 0
     assert _kernel_status(unit, top, width=top + 1) == 1
-    assert sweeps.backend_name(unit, top + 1) == "pure"
+    assert _backend(unit, top + 1) == "pure"
 
 
 @needs_compiled
@@ -519,7 +561,7 @@ def test_spans_past_64_bits_run_pure(monkeypatch):
                         _widened(sweeps.UNITS["multiplier"], {"x": span, "y": span}))
     for n, failures in [(29, 2997), (30, 2998), (31, 2999)]:
         assert span(n) >= 1 << 64
-        report = _pure_and_compiled("multiplier", n, status=None, mode="random",
+        report = _pure_and_compiled("multiplier", n, status=1, mode="random",
                                     samples=3000, seed=5)
         assert report["failures"] == failures, n
 
@@ -565,8 +607,8 @@ def _blocks_match_pure(monkeypatch, spans, mode, samples=0, seed=0):
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep both chunks
     params = Params(n)
     fields, case = sweeps.UNITS[unit].build(params)
-    assert _kernel_status(unit, n) == 0
-    run, _ = sweeps._runner(unit, params, fields, case, mode, seed, False)
+    run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, mode, seed)
+    assert run is not None
     total = oracle.case_count(fields, mode, samples, seed)
     first = run(0, total)[1]
     assert first >= _BLOCK
@@ -579,9 +621,7 @@ def _blocks_match_pure(monkeypatch, spans, mode, samples=0, seed=0):
     reports = [sweeps.run_verify(unit, n, mode=mode, samples=samples, seed=seed,
                                  workers=workers, force_pure=force_pure).to_dict()
                for force_pure, workers in [(True, 1), (False, 1), (False, 2)]]
-    for report in reports:
-        report.pop("wall_time_s")
-    assert reports[0] == reports[1] == reports[2]
+    _same_but_backend(reports, 0)
     assert reports[0]["failures"] > 0
 
 
@@ -620,9 +660,7 @@ def test_csa_and_normalize_kernels_match_pure_reports(unit, n, p, mode):
     reports = [sweeps.run_verify(unit, n, p=p, mode=mode, samples=3000, seed=7,
                                  force_pure=force_pure).to_dict()
                for force_pure in (True, False)]
-    for report in reports:
-        report.pop("wall_time_s")
-    assert reports[0] == reports[1]
+    _same_but_backend(reports, _kernel_status(unit, n, p))
     assert reports[0]["failures"] == 0
 
 
@@ -743,6 +781,7 @@ def _planted_reports(monkeypatch, unit, names, n, mode):
     for report in reports[1:]:
         assert report.failures == reports[0].failures
         assert report.counterexample == reports[0].counterexample
+    assert [report.backend for report in reports] == ["pure"] * 3 + ["compiled"] * 3
     return reports[0]
 
 
@@ -1010,7 +1049,11 @@ def test_report_shape():
     report = sweeps.run_verify("adder", 2)
     assert isinstance(report, VerifyReport)
     d = report.to_dict()
-    assert list(d) == ["unit", "n", "mode", "cases", "failures", "wall_time_s"]
+    assert list(d) == ["unit", "n", "mode", "cases", "failures", "backend", "wall_time_s"]
     report = sweeps.run_verify("adder", 4, mode="random", samples=100, seed=1)
-    assert list(report.to_dict()) == ["unit", "n", "mode", "cases", "failures",
+    assert list(report.to_dict()) == ["unit", "n", "mode", "cases", "failures", "backend",
                                       "seed", "wall_time_s"]
+    report = sweeps.run_verify("roundtrip", 3, p=2, mode="random", samples=100, seed=1)
+    assert list(report.to_dict()) == ["unit", "n", "p", "mode", "cases", "failures",
+                                      "backend", "seed", "wall_time_s"]
+    assert report.p == 2 and report.to_dict()["p"] == 2

@@ -2,9 +2,9 @@
 
 Builds ``src/cxrns/_kernels.c`` at a git revision (the base, by default
 HEAD) and from the working tree (the change), each as ``cxrns.sweeps``
-builds it on import (same compiler, flags and export checks), loads both
-libraries into this one process and times the benchmark's ten sweeps
-(``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) on each.  Every
+builds it for its first sweep (same compiler, flags and export checks),
+loads both libraries into this one process and times the benchmark's ten
+sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) on each.  Every
 round times each sweep once on each library, the best of three calls,
 alternating which library goes first.  One process and alternation keep
 host drift and code placement of the Python side out of the comparison;
