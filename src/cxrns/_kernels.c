@@ -9,8 +9,11 @@
  * mismatch.  A kernel runs only the specs its case function computes
  * exactly (n up to its SWEEP line's top, fields up to its <unit>_max); it
  * declines any other, which then runs on the pure-Python engine.  The case
- * functions have no branches gcc cannot turn into selects, so a loop over a
- * block of cases runs several cases per vector instruction.  Exhaustive
+ * functions have no branches gcc cannot turn into selects, and in a block
+ * loop most of their remainders fold rather than divide: by m = 2^2n + 1
+ * end-around (mod_m), by 2^4n - 1, roundtrip's New-CRT tail, in Mersenne
+ * chunks (mod_mersenne).  So a loop over a block of cases runs several
+ * cases per vector instruction.  Exhaustive
  * sweeps always run in such blocks; random sweeps do where the target has
  * AVX2 (its 32-bit vector multiplies build the draw's 64-bit ones), and
  * elsewhere run one case at a time, which is faster there.  Either way a
@@ -29,6 +32,7 @@
 #define BLOCK 256  /* cases per block of the vectorised case loops */
 #define GOLDEN 0x9E3779B97F4A7C15u
 #define ONES(k) (((uint64_t)1 << (k)) - 1)  /* the largest value of k bits */
+#define DR_FOLDS(n) (9 * (n) > 64)  /* draw_mod folds a draw by the dynamic range */
 #if defined(__AVX2__)
 #define RANDOM_BLOCKS 1  /* random sweeps run in blocks too (see run_cases) */
 #else
@@ -38,12 +42,13 @@
 typedef unsigned __int128 u128;
 
 /* Per-sweep constants; the roundtrip ones come from its kernel arguments.
- * lanes: the case runs in the vectorised block loop. */
+ * lanes: the case runs in a vectorised block loop, 1 of an exhaustive
+ * sweep, 2 of a random one. */
 struct ctx {
     int n, p, lanes;
     uint64_t m, mask;              /* 2^2n + 1, 2^n - 1 */
-    uint64_t m2, m3, tail;         /* 2^n - 1, 2^n + 1, m2*m3*m */
-    int64_t mu1, mu2, mu3;         /* New-CRT coefficients */
+    uint64_t m2, m3, tail;         /* 2^n - 1, 2^n + 1, m2*m3*m = 2^4n - 1 */
+    uint64_t mu1, mu2, mu3, off;   /* New-CRT coefficients; -2^(n+p) sum(mu) mod tail */
 };
 
 INLINE struct ctx ctx_make(int n, const int64_t *args)
@@ -57,9 +62,10 @@ INLINE struct ctx ctx_make(int n, const int64_t *args)
     c.m2 = c.mask;
     c.m3 = c.mask + 2;
     c.tail = c.m2 * c.m3 * c.m;
-    c.mu1 = args[1];
-    c.mu2 = args[2];
-    c.mu3 = args[3];
+    c.mu1 = (uint64_t)args[1];
+    c.mu2 = (uint64_t)args[2];
+    c.mu3 = (uint64_t)args[3];
+    c.off = (uint64_t)args[4];
     return c;
 }
 
@@ -87,6 +93,20 @@ INLINE uint64_t mod_m(const struct ctx *c, u128 a, int bits)
     if (bits <= 64)
         return (uint64_t)a % c->m;
     return a >> 64 ? (uint64_t)(a % c->m) : (uint64_t)a % c->m;
+}
+
+/* a mod 2^q - 1 for a < 2^bits and q >= 8, by folds that vectorise: since
+ * 2^q = 1, the sum s of a's q-bit chunks is congruent to a.  Where bits <
+ * 2q, s is below 2 (2^q - 1); elsewhere s, below 8 2^q, folds once more to
+ * below 2^q + 8.  One compare-subtract then leaves the remainder. */
+INLINE uint64_t mod_mersenne(uint64_t a, int q, int bits)
+{
+    uint64_t ones = ONES(q), s = 0;
+    for (int i = 0; i < bits; i += q)
+        s += a >> i & ones;
+    if (bits >= 2 * q)
+        s = (s & ones) + (s >> q);
+    return s - (ones & -(uint64_t)(s >= ones));
 }
 
 /* x y mod c->m for x, y < 2^(2n+1), the largest operands the multiplier and
@@ -212,13 +232,18 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
  *
  * <unit>_max sets, per field, the largest value up to which the case
  * function computes what its unit's Python dataflow does at width n (at
- * most the SWEEP line's top): its mod_m bounds hold and no word passes 64
- * bits.  A kernel declines a spec with a field past it. */
+ * most the SWEEP line's top) and kernel arguments args (p = args[0]): its
+ * mod_m bounds hold and no word passes 64 bits.  It returns 0 for arguments
+ * at which the case function computes no field value exactly.  A kernel
+ * declines a spec with a field past it, or whose arguments it returns 0
+ * for. */
 
-INLINE void adder_max(int n, uint64_t *max)
+INLINE int adder_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = ONES(2 * n + 1);                     /* x <= 2^2n */
     max[1] = max[2] = max[3] = max[4] = ONES(n);  /* i, r; carry, borrow with slack */
+    return 1;
 }
 
 INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
@@ -230,9 +255,11 @@ INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
     return phi(c, f) != mod_m(c, x + r + ((i + carry) << c->n) + c->m - borrow, 2 * c->n + 3);
 }
 
-INLINE void multiplier_max(int n, uint64_t *max)
+INLINE int multiplier_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = max[1] = ONES(2 * n + 1);  /* x, y <= 2^2n */
+    return 1;
 }
 
 INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
@@ -245,9 +272,11 @@ INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
     return (phi(c, f) & ((xz | yz) - 1)) != mul_mod_m(c, x, y);
 }
 
-INLINE void checkpoint_max(int n, uint64_t *max)
+INLINE int checkpoint_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = max[1] = ONES(2 * n + 1);  /* x, y <= 2^2n */
+    return 1;
 }
 
 INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
@@ -267,9 +296,11 @@ INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
     return t != mul_mod_m(c, x, y);
 }
 
-INLINE void forward_max(int n, uint64_t *max)
+INLINE int forward_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = (ONES(4 * n) << n) - 1;  /* z < 2^n (2^4n - 1), as forward_22n1 accepts */
+    return 1;
 }
 
 INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
@@ -277,28 +308,61 @@ INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
     return forward_dim1(c->n, c->m, v[0]) != mod_m(c, v[0], 5 * c->n);
 }
 
-INLINE void roundtrip_max(int n, uint64_t *max)
+/* z below the dynamic range 2^(n+p) (2^4n - 1), as forward_std accepts,
+ * for n, p that keep roundtrip_bad's New-CRT sum S = sum_k mu_k (x_{k+1}
+ * + 2^(n+p) - x_k) + off below 2^64: each mu_k and off is below 2^4n - 1, and
+ * the three factors are at most 2^n + 2^(n+p), 2^n + 2^(n+p) and 2^2n
+ * + 2^(n+p), so S < 2^4n (2^(n+1) + 2^2n + 3 2^(n+p)) + 2^4n, about 2^62 at
+ * n = p = 10.  That bound also keeps the dynamic range below 2^63. */
+INLINE int roundtrip_max(int n, const int64_t *args, uint64_t *max)
 {
-    (void)n;
-    max[0] = ONES(63);
+    int64_t p = args[0];
+    if (n < 2 || p < 0 || 5 * n + p >= 64
+        || ((u128)1 << 4 * n) * (((u128)2 << n) + ((u128)1 << 2 * n) + ((u128)3 << (n + p)) + 1)
+           >= (u128)1 << 64)
+        return 0;
+    max[0] = (ONES(4 * n) << (n + p)) - 1;
+    return 1;
 }
 
+/* x1..x4 are z's residues by 2^(n+p), m2, m3 and m.  The New-CRT sum adds
+ * 2^(n+p) to each difference, which keeps it unsigned, and off takes the
+ * added 2^(n+p) sum(mu) away again modulo tail = 2^4n - 1.  The block loop
+ * reduces by Mersenne folds: z to y = z mod tail, y to x4 by mod_m and, once
+ * folded at 2n bits (2^2n = 1 mod m2 m3) to below 2^32, to x2 and x3 by
+ * 32-bit remainders; the sum to its remainder by tail.  A scalar loop takes
+ * 64-bit remainders, as mod_m does, and so does a random block whose draws
+ * do not fold: their 64-bit remainder keeps gcc from vectorising it, and
+ * the folds, run lane by lane, read 0.55-0.69x there (n = 2..7).  Only the
+ * sum folds in every loop from n = 9 on, where its 64 bits make two 4n-bit
+ * chunks: in the scalar loop of a portable build, n = 10, that read 1.02x
+ * against its 64-bit remainder, and folding z too 0.90x. */
 INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
 {
-    uint64_t z = v[0], mask1 = ((uint64_t)1 << (c->n + c->p)) - 1;
-    int64_t x1 = (int64_t)(z & mask1), x2 = (int64_t)(z % c->m2), x3 = (int64_t)(z % c->m3);
-    int64_t x4 = (int64_t)(z % c->m);
-    int64_t acc = (c->mu1 * (x2 - x1) + c->mu2 * (x3 - x2) + c->mu3 * (x4 - x3))
-                  % (int64_t)c->tail;
-    if (acc < 0)
-        acc += (int64_t)c->tail;
-    return (uint64_t)x1 + (mask1 + 1) * (uint64_t)acc != z;
+    uint64_t z = v[0], w = (uint64_t)1 << (c->n + c->p), x1 = z & (w - 1), x2, x3, x4, s;
+    int q = 4 * c->n, fold = c->lanes == 1 || (c->lanes && DR_FOLDS(c->n));
+    if (fold) {
+        uint64_t y = mod_mersenne(z, q, 63);
+        uint32_t y2 = (uint32_t)((y & ONES(2 * c->n)) + (y >> (2 * c->n)));
+        x2 = y2 % (uint32_t)c->m2;
+        x3 = y2 % (uint32_t)c->m3;
+        x4 = mod_m(c, y, q);
+    } else {
+        x2 = z % c->m2;
+        x3 = z % c->m3;
+        x4 = z % c->m;
+    }
+    s = c->mu1 * (x2 + w - x1) + c->mu2 * (x3 + w - x2) + c->mu3 * (x4 + w - x3) + c->off;
+    s = fold || 64 < 2 * q ? mod_mersenne(s, q, 64) : s % c->tail;
+    return x1 + w * s != z;
 }
 
-INLINE void compressor_max(int n, uint64_t *max)
+INLINE int compressor_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = max[1] = max[2] = max[3] = ONES(n);  /* a, b, c, d: alu.compress42 rejects more */
     max[4] = max[5] = 1;                          /* t_in, v_in */
+    return 1;
 }
 
 INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
@@ -308,10 +372,12 @@ INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
     return u + vh + ((cn + vn) << c->n) != v[0] + v[1] + v[2] + v[3] + v[4] + v[5];
 }
 
-INLINE void csa_max(int n, uint64_t *max)
+INLINE int csa_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = ONES(2 * n);               /* z2 with slack */
     max[1] = max[2] = ONES(2 * n + 1);  /* z1, z0 past 2^2n: a sum past 64 bits at n = 31 */
+    return 1;
 }
 
 INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
@@ -322,9 +388,11 @@ INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
            != mod_m(c, (u128)z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 3);
 }
 
-INLINE void normalize_max(int n, uint64_t *max)
+INLINE int normalize_max(int n, const int64_t *args, uint64_t *max)
 {
+    (void)args;
     max[0] = max[1] = max[2] = max[3] = ONES(n);  /* i, r; carry, borrow with slack */
+    return 1;
 }
 
 INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
@@ -386,7 +454,8 @@ INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * exactly from n = 11 on, where they make three 2n-bit chunks; by
  * 2^a (2^4n - 1) in either loop, in its low a bits and one Mersenne fold
  * (2^4n = 1) of the 64 - a bits above them, exact from n = 8 on, where they
- * make less than two 4n-bit chunks.  Other remainders are 64-bit ones. */
+ * make less than two 4n-bit chunks (DR_FOLDS).  Other remainders are 64-bit
+ * ones. */
 INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d, uint64_t span)
 {
     int a = c->n + c->p, q4 = 4 * c->n;
@@ -394,7 +463,7 @@ INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d,
         return d & (span - 1);
     if (shape & SPAN_M(f))
         return 6 * c->n >= 64 ? mod_m(c, d, 64) : d % c->m;
-    if (shape & SPAN_DR(f) && 9 * c->n > 64) {
+    if (shape & SPAN_DR(f) && DR_FOLDS(c->n)) {
         uint64_t q = (d >> a & ONES(q4)) + (d >> a >> q4);
         return (d & ONES(a)) | (q - (ONES(q4) & -(uint64_t)(q >= ONES(q4)))) << a;
     }
@@ -454,7 +523,7 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     if (RANDOM_BLOCKS ? __builtin_expect(random, 0) : random) {
 #if RANDOM_BLOCKS
         struct ctx cl = *c;
-        cl.lanes = 1;
+        cl.lanes = 2;
         for (uint64_t k = lo; k < hi; k += BLOCK) {
             unsigned mismatches = 0, j;
             for (j = 0; j < BLOCK; j++)
@@ -540,13 +609,13 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(31, __VA_ARGS__)
 
 /* sweep_<unit>: returns -1 when the spec's field count is not the case
- * function's, and 1, running nothing, when n passes top or a field passes
- * <unit>_max; that answer alone decides whether a sweep runs compiled.  A
- * spec of the unit's usual shape runs a case loop specialized to it and to
- * n, in the width arms 2..top (2..xtop for an exhaustive sweep); any other
- * spec (say, a shifted base or a narrowed span) runs one general loop.  xtop
- * is the largest n, at most top, whose usual case space has fewer than 2^63
- * cases, the most an exhaustive sweep indexes. */
+ * function's, and 1, running nothing, when n passes top or <unit>_max
+ * declines the spec; that answer alone decides whether a sweep runs
+ * compiled.  A spec of the unit's usual shape runs a case loop specialized
+ * to it and to n, in the width arms 2..top (2..xtop for an exhaustive
+ * sweep); any other spec (say, a shifted base or a narrowed span) runs one
+ * general loop.  xtop is the largest n, at most top, whose usual case space
+ * has fewer than 2^63 cases, the most an exhaustive sweep indexes. */
 #define SWEEP(unit, arity, usual, top, xtop)                                        \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
@@ -557,8 +626,7 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
             return -1;                                                              \
         if (n > (top))                                                              \
             return 1;                                                               \
-        unit##_max(n, max);                                                         \
-        if (!fields_fit(nf, span, base, max))                                       \
+        if (!unit##_max(n, args, max) || !fields_fit(nf, span, base, max))         \
             return 1;                                                               \
         unsigned shape = shape_of(n, (int)args[0], nf, span, base);                 \
         if (shape == (usual)) {                                                     \
@@ -576,7 +644,7 @@ SWEEP(adder, 5, 1u | SPAN_M(0), 31, 15)                /* x spans 2^2n + 1 */
 SWEEP(multiplier, 2, 3u | SPAN_M(0) | SPAN_M(1), 31, 15)  /* x, y span 2^2n + 1 */
 SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1; top: i_sum 2^n fits in 63 bits */
 SWEEP(forward, 1, 1u | SPAN_DR(0), 12, 12)    /* top: 5n-bit inputs in 63 bits */
-SWEEP(roundtrip, 1, 1u | SPAN_DR(0), 10, 10)  /* top: the New-CRT products mu (x' - x) in int64 */
+SWEEP(roundtrip, 1, 1u | SPAN_DR(0), 10, 10)  /* top: roundtrip_max's sum bound at p = 0 */
 SWEEP(compressor, 6, 0u, 31, 15)
 SWEEP(csa, 3, 0u, 31, 12)
 SWEEP(normalize, 4, 0u, 31, 30)

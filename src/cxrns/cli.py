@@ -204,7 +204,8 @@ def _cmd_verify(args) -> int:
         print(report.to_json())
     else:
         status = "ok" if report.ok else "FAIL"
-        print(f"verify {report.unit} n={report.n} {report.mode}: "
+        ext = f" p={report.p}" if report.p else ""
+        print(f"verify {report.unit} n={report.n}{ext} {report.mode}: "
               f"cases={report.cases} failures={report.failures} "
               f"({report.wall_time_s:.3f}s) [{report.backend}] {status}")
         if report.counterexample:

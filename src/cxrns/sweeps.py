@@ -148,7 +148,10 @@ def _roundtrip(params: Params):
 
 
 def _roundtrip_kernel_args(n: int, p: int) -> tuple[int, ...]:
-    return (p, *_roundtrip_plan(n, p)[1].mu)
+    """p, the New-CRT coefficients mu and -2^(n+p) sum(mu) mod the tail
+    product, the offset that keeps the kernel's New-CRT sum unsigned."""
+    plan = _roundtrip_plan(n, p)[1]
+    return (p, *plan.mu, -(sum(plan.mu) << n + p) % plan.tail_product)
 
 
 def _compressor(params: Params):
@@ -319,35 +322,46 @@ def _kernels():
 
 # --- chunk runners ---------------------------------------------------------------
 
+@functools.lru_cache(maxsize=256)
+def _kernel_call(kernels, unit: str, params: Params, fields: tuple[Field, ...],
+                 random: bool) -> tuple[Callable, tuple] | None:
+    """(kernel, args): the export ``sweep_<unit>`` of `kernels` and the typed
+    arguments of a call before its seed, or None when the kernel declines
+    the sweep.  Built, and the kernel asked, once per spec."""
+    if any(max(f.span, f.base + f.span - 1) >= 1 << 64 for f in fields):
+        return None
+    kernel = getattr(kernels, f"sweep_{unit}")
+    column = _U64 * len(fields)
+    args = (params.n, (_I64 * 5)(*UNITS[unit].kernel_args(params.n, params.p)),
+            len(fields), column(*(f.span for f in fields)),
+            column(*(f.base for f in fields)), column(*(f.slot for f in fields)), random)
+    status = kernel(*args, 0, 0, 0, (_I64 * 2)())
+    if status < 0:
+        raise RuntimeError(f"the {unit} kernel takes a different number of "
+                           f"fields than the {unit} spec")
+    return None if status else (kernel, args)
+
+
 def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], mode: str,
                 seed: int) -> Callable | None:
     """run(lo, hi), which runs cases [lo, hi) of the sweep on the export
     ``sweep_<unit>`` of `kernels`, or None when the kernel declines the sweep.
 
-    The kernel alone decides: asked once with an empty range, it declines
-    (returns 1) a width past its SWEEP line's top or a field past its case
-    function's bounds.  A span or a largest value past 2^64 - 1, which ctypes
-    would wrap silently, never reaches it.  A kernel call releases the GIL,
-    so runs of disjoint ranges run in parallel threads.
+    The kernel alone decides: asked with an empty range, once per spec
+    (``_kernel_call``), it declines (returns 1) a width past its SWEEP
+    line's top or a field past its case function's bounds.  A span or a
+    largest value past 2^64 - 1, which ctypes would wrap silently, never
+    reaches it.  A kernel call releases the GIL, so runs of disjoint ranges
+    run in parallel threads.
     """
-    if any(max(f.span, f.base + f.span - 1) >= 1 << 64 for f in fields):
+    call = _kernel_call(kernels, unit, params, fields, mode == "random")
+    if call is None:
         return None
-    kernel = getattr(kernels, f"sweep_{unit}")
-    column = _U64 * len(fields)
-    args = (params.n, (_I64 * 4)(*UNITS[unit].kernel_args(params.n, params.p)),
-            len(fields), column(*(f.span for f in fields)),
-            column(*(f.base for f in fields)), column(*(f.slot for f in fields)),
-            mode == "random", seed)
-    status = kernel(*args, 0, 0, (_I64 * 2)())
-    if status < 0:
-        raise RuntimeError(f"the {unit} kernel takes a different number of "
-                           f"fields than the {unit} spec")
-    if status:
-        return None
+    kernel, args = call
 
     def run(lo: int, hi: int) -> tuple[int, int]:
         out = (_I64 * 2)()
-        kernel(*args, lo, hi, out)
+        kernel(*args, seed, lo, hi, out)
         return out[0], out[1]
 
     return run

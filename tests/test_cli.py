@@ -212,6 +212,16 @@ def test_verify_json_names_p(capsys):
     assert (doc["cases"], doc["failures"]) == (((1 << 12) - 1) << 5, 0)
 
 
+def test_verify_text_line_names_p(capsys):
+    # The text line names p too, where it is not 0; a p = 0 line keeps its shape.
+    code, out, _ = run_cli(capsys, "verify", "roundtrip", "--n", "3", "--p", "2")
+    assert code == 0
+    assert out.startswith(f"verify roundtrip n=3 p=2 exhaustive: cases={((1 << 12) - 1) << 5} ")
+    code, out, _ = run_cli(capsys, "verify", "roundtrip", "--n", "3")
+    assert code == 0
+    assert out.startswith("verify roundtrip n=3 exhaustive: cases=32760 ")
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = VerifyReport(unit="adder", n=2, p=0, mode="exhaustive", cases=10, failures=1,
                            backend="pure", counterexample={"x": 1}, wall_time_s=0.0)

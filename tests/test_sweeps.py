@@ -12,12 +12,13 @@ import sys
 import sysconfig
 import threading
 import time
+import types
 import warnings
 from pathlib import Path
 
 import pytest
 
-from cxrns import alu, oracle, sweeps
+from cxrns import alu, oracle, reverse, sweeps
 from cxrns.core import ComplexChannelResidue, Params, RangeExceeded, operand_value
 from cxrns.reporting import VerifyReport
 
@@ -303,6 +304,59 @@ def test_compiled_support_gates(monkeypatch):
     assert _backend("multiplier", 2) == sweeps.backend_name() == "pure"
 
 
+class _FakeKernels:
+    """Stands in for the compiled library: each sweep_<unit> export records
+    its call, runs no case, reports none failing and returns `status`."""
+
+    def __init__(self, status=0):
+        self.status, self.calls = status, []
+
+    def __getattr__(self, name):
+        if not name.startswith("sweep_"):
+            raise AttributeError(name)
+
+        def export(n, args, nf, span, base, slot, random, seed, lo, hi, out):
+            self.calls.append({"unit": name[6:], "spans": list(span[:nf]), "random": random,
+                               "seed": seed, "lo": lo, "hi": hi})
+            out[0], out[1] = 0, -1
+            return self.status
+
+        return export
+
+    def probes(self):
+        return [call for call in self.calls if call["lo"] == call["hi"] == 0]
+
+
+def test_kernel_verdict_is_asked_once_per_spec(monkeypatch):
+    # run_verify asks a kernel for its verdict with an empty range once per
+    # (library, unit, params, fields, mode), and passes each sweep's own seed.
+    fake = _FakeKernels()
+    monkeypatch.setattr(sweeps, "_C", fake)
+    for seed in (1, 2, 3):
+        assert sweeps.run_verify("adder", 4, mode="random", samples=10, seed=seed).backend \
+            == "compiled"
+    assert len(fake.probes()) == 1
+    assert [(c["seed"], c["lo"], c["hi"]) for c in fake.calls if c["hi"]] == [
+        (1, 0, 10), (2, 0, 10), (3, 0, 10)]
+    assert sweeps.run_verify("adder", 2).backend == "compiled"  # another width and mode
+    assert len(fake.probes()) == 2 and fake.probes()[-1]["random"] is False
+    # A swapped library gets its own verdict, here a decline: the sweeps run pure.
+    declining = _FakeKernels(status=1)
+    monkeypatch.setattr(sweeps, "_C", declining)
+    for seed in (1, 2):
+        assert sweeps.run_verify("adder", 4, mode="random", samples=10, seed=seed).backend \
+            == "pure"
+    assert len(declining.calls) == 1
+    # So does a widened UNITS entry, whose spans the kernel sees.
+    monkeypatch.setattr(sweeps, "_C", fake)
+    monkeypatch.setitem(sweeps.UNITS, "adder",
+                        _widened(sweeps.UNITS["adder"], {"carry": lambda n: 4}))
+    for seed in (1, 2):
+        sweeps.run_verify("adder", 4, mode="random", samples=10, seed=seed)
+    assert len(fake.probes()) == 3
+    assert fake.probes()[-1]["spans"] == [257, 16, 16, 4, 2]
+
+
 def test_every_unit_has_a_kernel():
     # A unit without a compiled kernel would leave its sweeps in pure Python.
     with open(sweeps._KERNELS_C) as f:
@@ -342,6 +396,11 @@ def _declared_shape(usual):
     return shape
 
 
+def _dynamic_range(n, p):
+    """2^(n+p) (2^4n - 1), the dynamic range of f_set(n, p)."""
+    return ((1 << 4 * n) - 1) << n + p
+
+
 def test_sweep_lines_declare_the_spec_shape():
     # A SWEEP(unit, arity, usual, top, xtop) line whose usual shape drifts from
     # the spec still gives right reports, but through the slower general case
@@ -357,7 +416,7 @@ def test_sweep_lines_declare_the_spec_shape():
             for p in (0, n) if spec.reads_p else (0,):
                 params = Params(n, p)
                 fields, _ = spec.build(params)
-                dynamic_range = ((1 << 4 * n) - 1) << n + p
+                dynamic_range = _dynamic_range(n, p)
                 shape = {"bits": sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1)),
                          "based": any(f.base for f in fields),
                          "m": {k for k, f in enumerate(fields) if f.span == params.modulus},
@@ -845,6 +904,99 @@ def test_portable_random_loop_reports_planted_faults_like_pure(monkeypatch, port
     monkeypatch.setattr(sweeps, "_C", portable_kernels)
     report = _planted_reports(monkeypatch, unit, names, n, "random")
     assert {k: report.counterexample[k] for k in planted} == planted
+
+
+def _z_window(base, span):
+    """The roundtrip unit with z over [base, base + span): a shifted or
+    narrowed span, which its kernel runs in the general loop."""
+    spec = sweeps.UNITS["roundtrip"]
+
+    def build(params):
+        (z,), case = spec.build(params)
+        return (z._replace(base=base, span=span),), case
+
+    return spec._replace(build=build)
+
+
+@pytest.fixture(params=["native", "portable"])
+def roundtrip_kernels(request, monkeypatch):
+    """The loaded kernels, then the portable build, as the sweeps' library."""
+    if request.param == "portable":
+        kernels = request.getfixturevalue("portable_kernels")
+    elif sweeps.compiled_available():
+        kernels = sweeps._kernels()
+    else:
+        pytest.skip("no C compiler to build _kernels.c")
+    monkeypatch.setattr(sweeps, "_C", kernels)
+    return kernels
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n in (2, 5, 8, 10) for p in (0, n)])
+def test_roundtrip_folds_match_pure_at_their_edges(monkeypatch, roundtrip_kernels, n, p):
+    # The block loop reduces z and the New-CRT sum by folds modulo the tail
+    # 2^4n - 1, whose compare-subtract decides where they are 0 or -1 (mod the
+    # tail): for z at multiples of the tail and one below them, and for the
+    # sum where z < 2^(n+p); z = DR - 1 is the largest input.  Chunks of the
+    # usual spec run them in the width arm of n, windows of z in the general
+    # loop.
+    tail, dynamic_range = (1 << 4 * n) - 1, _dynamic_range(n, p)
+    edges = [0, tail, 2 * tail, dynamic_range - tail, dynamic_range]
+    starts = sorted({max(0, min(edge - 500, dynamic_range - 1000)) for edge in edges})
+    assert _exhaustive_chunks_match_pure("roundtrip", n, p, starts=starts) == 0
+    for edge in edges:
+        base = max(0, min(edge - 300, dynamic_range - 600))
+        monkeypatch.setitem(sweeps.UNITS, "roundtrip",
+                            _z_window(base, min(600, dynamic_range - base)))
+        assert _pure_and_compiled("roundtrip", n, p=p)["failures"] == 0, edge
+        assert _pure_and_compiled("roundtrip", n, p=p, mode="random", samples=1000,
+                                  seed=3)["failures"] == 0, edge
+    # forward_std rejects a z from DR on, so the kernel declines a window past
+    # it and both backends raise the same error.
+    monkeypatch.setitem(sweeps.UNITS, "roundtrip", _z_window(dynamic_range - 300, 600))
+    assert _kernel_status("roundtrip", n, p) == 1
+    for force_pure in (True, False):
+        with pytest.raises(RangeExceeded, match=f"input {dynamic_range} outside"):
+            sweeps.run_verify("roundtrip", n, p=p, force_pure=force_pure)
+
+
+@needs_compiled
+@pytest.mark.parametrize("p", range(5))
+def test_roundtrip_exhaustive_n4_reports_match_pure(p):
+    # Every z of the dynamic range runs through the folds of the n = 4 width
+    # arm.  A z comes back from the New CRT only when all four residues are
+    # right, so the pure report has 0 failures over DR cases; the compiled
+    # one must equal it.  The pure sweep itself (2.7 us a case) runs only at
+    # p = 0, 1,048,560 cases; at every p, chunks at the start, middle and end
+    # match the pure engine case by case.
+    reports = [sweeps.run_verify("roundtrip", 4, p=p).to_dict()]
+    if p == 0:
+        reports.insert(0, sweeps.run_verify("roundtrip", 4, force_pure=True).to_dict())
+        _same_but_backend(reports, 0)
+    else:
+        assert reports[0].pop("backend") == "compiled"
+        reports[0].pop("wall_time_s")
+    assert reports[0] == {"unit": "roundtrip", "n": 4, **({"p": p} if p else {}),
+                          "mode": "exhaustive", "cases": _dynamic_range(4, p), "failures": 0}
+    assert _exhaustive_chunks_match_pure("roundtrip", 4, p) == 0
+
+
+@needs_compiled
+def test_roundtrip_kernel_declines_a_p_past_its_sum_bound():
+    # roundtrip_max keeps the unsigned New-CRT sum below 2^64, which bounds p
+    # by itself: at n = 10 up to p = 12, past the p <= n that Params allows
+    # today, where 100,000 random cases run exact; at p = 13 the kernel
+    # declines, though z's span still fits its field.
+    n, one = 10, ctypes.c_uint64 * 1
+    kernel = sweeps._kernels().sweep_roundtrip
+    for p, status in [(12, 0), (13, 1)]:
+        moduli = ((1 << n + p), (1 << n) - 1, (1 << n) + 1, (1 << 2 * n) + 1)
+        plan = reverse.ncrt_plan(types.SimpleNamespace(moduli=moduli))
+        args = (ctypes.c_int64 * 5)(p, *plan.mu, -(sum(plan.mu) << n + p) % plan.tail_product)
+        out = (ctypes.c_int64 * 2)(-2, -2)
+        assert _dynamic_range(n, p) < 1 << 63
+        assert kernel(n, args, 1, one(_dynamic_range(n, p)), one(0), one(0), 1, 5,
+                      0, 100_000, out) == status, p
+        assert list(out) == ([0, -1] if status == 0 else [-2, -2]), p
 
 
 # Decoded cases pinned from the hand-written decoders the spec table replaced:
