@@ -333,10 +333,7 @@ INLINE int roundtrip_max(int n, const int64_t *args, uint64_t *max)
  * 32-bit remainders; the sum to its remainder by tail.  A scalar loop takes
  * 64-bit remainders, as mod_m does, and so does a random block whose draws
  * do not fold: their 64-bit remainder keeps gcc from vectorising it, and
- * the folds, run lane by lane, read 0.55-0.69x there (n = 2..7).  Only the
- * sum folds in every loop from n = 9 on, where its 64 bits make two 4n-bit
- * chunks: in the scalar loop of a portable build, n = 10, that read 1.02x
- * against its 64-bit remainder, and folding z too 0.90x. */
+ * the folds, run lane by lane, read 0.55-0.69x there (n = 2..7). */
 INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t z = v[0], w = (uint64_t)1 << (c->n + c->p), x1 = z & (w - 1), x2, x3, x4, s;
@@ -353,7 +350,7 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
         x4 = z % c->m;
     }
     s = c->mu1 * (x2 + w - x1) + c->mu2 * (x3 + w - x2) + c->mu3 * (x4 + w - x3) + c->off;
-    s = fold || 64 < 2 * q ? mod_mersenne(s, q, 64) : s % c->tail;
+    s = fold ? mod_mersenne(s, q, 64) : s % c->tail;
     return x1 + w * s != z;
 }
 
