@@ -4,7 +4,8 @@ Builds ``src/cxrns/_kernels.c`` at a git revision (the base, by default
 HEAD) and from the working tree (the change), each as ``cxrns.sweeps``
 builds it for its first sweep (same compiler, flags and export checks),
 loads both libraries into this one process and times the benchmark's ten
-sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) on each.  Every
+sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) and three random
+sweeps below n = 8 (NARROW) on each.  Every
 round times each sweep once on each library, the best of three calls,
 alternating which library goes first.  One process and alternation keep
 host drift and code placement of the Python side out of the comparison;
@@ -48,12 +49,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from cxrns import sweeps  # noqa: E402
 from cxrns.core import Params  # noqa: E402
 from cxrns.oracle import case_count  # noqa: E402
-from bench import EXHAUSTIVE, RANDOM, sweep_seeds  # noqa: E402
+from bench import EXHAUSTIVE, RANDOM, RANDOM_SAMPLES, Sweep, sweep_seeds  # noqa: E402
 from run import cpu_model  # noqa: E402
 
 RANDOM_CASES = 2_000_000  # per call, unless --cases says otherwise
 CALLS = 3  # a timed sample is the best of this many calls
 SEED = 1  # the random sweeps take the benchmark's seeds for --seed 1
+# Random sweeps that no benchmark workload runs: below n = 8 the draws by the
+# dynamic range 2^(n+p) (2^4n - 1) make more than two Mersenne chunks.
+NARROW = tuple(Sweep(unit, n, "random", RANDOM_SAMPLES) for unit, n in (
+    ("roundtrip", 5), ("roundtrip", 7), ("forward", 5)))
 
 
 def build(rev: str | None, cache: Path):
@@ -118,7 +123,7 @@ def quartiles(rates: list[float]) -> dict:
 def compare(base, change, rounds: int, cases: int | None) -> dict:
     """Per-sweep rates of both libraries over `rounds` alternating rounds."""
     plan = [(s, 0) for s in EXHAUSTIVE]
-    plan += zip(RANDOM, sweep_seeds(SEED, len(RANDOM)))
+    plan += zip(RANDOM + NARROW, sweep_seeds(SEED, len(RANDOM + NARROW)))
     calls = {s.name: [sweep_call(lib, s.unit, s.n, s.mode, sseed, cases)
                       for lib in (base, change)] for s, sseed in plan}
     rates = {name: ([], []) for name in calls}
