@@ -9,11 +9,11 @@
  * mismatch.  A kernel runs only the specs its case function computes
  * exactly (n up to its SWEEP line's top, fields up to its <unit>_max); it
  * declines any other, which then runs on the pure-Python engine.  The case
- * functions have no branches gcc cannot turn into selects, and in a block
- * loop most of their remainders fold rather than divide: by m = 2^2n + 1
- * end-around (mod_m), by 2^4n - 1, roundtrip's New-CRT tail, in Mersenne
- * chunks (mod_mersenne).  So a loop over a block of cases runs several
- * cases per vector instruction.  Exhaustive
+ * functions have no branches gcc cannot turn into selects, and one rule
+ * takes their remainders: a block loop folds, by m = 2^2n + 1 end-around
+ * (mod_m) and by 2^4n - 1 in Mersenne chunks (mod_mersenne), and a loop of
+ * one case at a time divides.  So a block loop runs several cases per
+ * vector instruction.  Exhaustive
  * sweeps always run in such blocks; random sweeps do where the target has
  * AVX2 (its 32-bit vector multiplies build the draw's 64-bit ones), and
  * elsewhere run one case at a time, which is faster there.  Either way a
@@ -32,7 +32,6 @@
 #define BLOCK 256  /* cases per block of the vectorised case loops */
 #define GOLDEN 0x9E3779B97F4A7C15u
 #define ONES(k) (((uint64_t)1 << (k)) - 1)  /* the largest value of k bits */
-#define DR_FOLDS(n) (9 * (n) > 64)  /* draw_mod folds a draw by the dynamic range */
 #if defined(__AVX2__)
 #define RANDOM_BLOCKS 1  /* random sweeps run in blocks too (see run_cases) */
 #else
@@ -42,8 +41,7 @@
 typedef unsigned __int128 u128;
 
 /* Per-sweep constants; the roundtrip ones come from its kernel arguments.
- * lanes: the case runs in a vectorised block loop, 1 of an exhaustive
- * sweep, 2 of a random one. */
+ * lanes: the case runs in a vectorised block loop, so its remainders fold. */
 struct ctx {
     int n, p, lanes;
     uint64_t m, mask;              /* 2^2n + 1, 2^n - 1 */
@@ -95,10 +93,11 @@ INLINE uint64_t mod_m(const struct ctx *c, u128 a, int bits)
     return a >> 64 ? (uint64_t)(a % c->m) : (uint64_t)a % c->m;
 }
 
-/* a mod 2^q - 1 for a < 2^bits and q >= 8, by folds that vectorise: since
- * 2^q = 1, the sum s of a's q-bit chunks is congruent to a.  Where bits <
- * 2q, s is below 2 (2^q - 1); elsewhere s, below 8 2^q, folds once more to
- * below 2^q + 8.  One compare-subtract then leaves the remainder. */
+/* a mod 2^q - 1 for a < 2^bits, q >= 8 and bits <= 8q (64 - n bits at q =
+ * 4n), by folds that vectorise: since 2^q = 1, the sum s of a's q-bit
+ * chunks is congruent to a.  Where bits < 2q, s is below 2 (2^q - 1);
+ * elsewhere s, below 8 2^q, folds once more to below 2^q + 8.  One
+ * compare-subtract then leaves the remainder. */
 INLINE uint64_t mod_mersenne(uint64_t a, int q, int bits)
 {
     uint64_t ones = ONES(q), s = 0;
@@ -117,7 +116,8 @@ INLINE uint64_t mod_mersenne(uint64_t a, int q, int bits)
  * multiplies.  Past n = 16 xl yl passes 64 bits too.  Elsewhere the u128
  * remainder, exact as well, stays: in a scalar loop the split read 0.91x;
  * in the general loop, where n is no constant, it made gcc allocate the
- * registers of the whole sweep_multiplier worse (exhaustive n = 5, 0.96x). */
+ * registers of the whole sweep_multiplier worse, and without the
+ * constant-n gate the benchmark's sweep-exhaustive read 0.84x end to end. */
 INLINE uint64_t mul_mod_m(const struct ctx *c, uint64_t x, uint64_t y)
 {
     int w = 2 * c->n;
@@ -330,15 +330,13 @@ INLINE int roundtrip_max(int n, const int64_t *args, uint64_t *max)
  * added 2^(n+p) sum(mu) away again modulo tail = 2^4n - 1.  The block loop
  * reduces by Mersenne folds: z to y = z mod tail, y to x4 by mod_m and, once
  * folded at 2n bits (2^2n = 1 mod m2 m3) to below 2^32, to x2 and x3 by
- * 32-bit remainders; the sum to its remainder by tail.  A scalar loop takes
- * 64-bit remainders, as mod_m does, and so does a random block whose draws
- * do not fold: their 64-bit remainder keeps gcc from vectorising it, and
- * the folds, run lane by lane, read 0.55-0.69x there (n = 2..7). */
+ * 32-bit remainders; the sum to its remainder by tail.  A scalar loop
+ * divides. */
 INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t z = v[0], w = (uint64_t)1 << (c->n + c->p), x1 = z & (w - 1), x2, x3, x4, s;
-    int q = 4 * c->n, fold = c->lanes == 1 || (c->lanes && DR_FOLDS(c->n));
-    if (fold) {
+    int q = 4 * c->n;
+    if (c->lanes) {
         uint64_t y = mod_mersenne(z, q, 63);
         uint32_t y2 = (uint32_t)((y & ONES(2 * c->n)) + (y >> (2 * c->n)));
         x2 = y2 % (uint32_t)c->m2;
@@ -350,7 +348,7 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
         x4 = z % c->m;
     }
     s = c->mu1 * (x2 + w - x1) + c->mu2 * (x3 + w - x2) + c->mu3 * (x4 + w - x3) + c->off;
-    s = fold ? mod_mersenne(s, q, 64) : s % c->tail;
+    s = c->lanes ? mod_mersenne(s, q, 64) : s % c->tail;
     return x1 + w * s != z;
 }
 
@@ -446,24 +444,20 @@ INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
 }
 
 /* d mod span, for a draw d and the span of field f, of the kind the shape
- * says.  The remainders by m and by 2^a (2^4n - 1), a = n + p, fold: by m
- * end-around (2^2n = -1) in the vector loop (mod_m), which reduces 64 bits
- * exactly from n = 11 on, where they make three 2n-bit chunks; by
- * 2^a (2^4n - 1) in either loop, in its low a bits and one Mersenne fold
- * (2^4n = 1) of the 64 - a bits above them, exact from n = 8 on, where they
- * make less than two 4n-bit chunks (DR_FOLDS).  Other remainders are 64-bit
- * ones. */
+ * says.  Span m goes through mod_m, which in a block loop folds from n = 11
+ * on.  There span 2^a (2^4n - 1), a = n + p, keeps d's low a bits and
+ * folds the rest, below 2^(64 - n), by 2^4n - 1: 64 - n, unlike 64 - a, is
+ * a constant in a width arm, so the chunk loop unrolls (with 64 - a,
+ * forward n = 12 random read 0.19x).  Other remainders divide. */
 INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d, uint64_t span)
 {
-    int a = c->n + c->p, q4 = 4 * c->n;
+    int a = c->n + c->p, q = 4 * c->n;
     if (!(shape >> f & 1))
         return d & (span - 1);
     if (shape & SPAN_M(f))
-        return 6 * c->n >= 64 ? mod_m(c, d, 64) : d % c->m;
-    if (shape & SPAN_DR(f) && DR_FOLDS(c->n)) {
-        uint64_t q = (d >> a & ONES(q4)) + (d >> a >> q4);
-        return (d & ONES(a)) | (q - (ONES(q4) & -(uint64_t)(q >= ONES(q4)))) << a;
-    }
+        return mod_m(c, d, 64);
+    if (shape & SPAN_DR(f) && c->lanes)
+        return (d & ONES(a)) | mod_mersenne(d >> a, q, 64 - c->n) << a;
     return d % span;
 }
 
@@ -497,8 +491,9 @@ INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * lo the same way, each of BLOCK counted steps that mask off the cases past
  * hi: a fixed trip count leaves gcc no vector epilogue to emit per loop.
  * Elsewhere, where a 64-bit vector multiply costs more than it saves, it
- * runs one case at a time.  Both loops draw each case through draw_at, so
- * their remainders fold alike (draw_mod). */
+ * runs one case at a time: forcing the block loop on such a target read
+ * 0.76-0.95x on five random units.  Both loops draw each case through
+ * draw_at; the block loop folds its remainders, the other divides. */
 INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
                   int nf, unsigned shape, const uint64_t *span, const uint64_t *base,
                   const uint64_t *slot, int random, uint64_t seed, uint64_t lo, uint64_t hi,
@@ -513,14 +508,14 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         key[f] = seed + (slot[f] + 1) * GOLDEN;  /* draw(seed, SLOTS k + slot) at k = 0 */
     }
     /* Where random sweeps run in blocks, the hint lays them out after the
-     * exhaustive loops.  In line, they moved the exhaustive loops' register
-     * allocation: compressor n = 4 read 0.97x in an in-process A/B, 0.99x
-     * with the hint.  The scalar loop of other targets read up to 0.88x
-     * with it. */
+     * exhaustive loops.  In line, they move the exhaustive loops' register
+     * allocation: without the hint, multiplier n = 5 exhaustive read 0.84x
+     * in an in-process A/B (0 of 11 rounds won).  The scalar loop of other
+     * targets read up to 0.88x with it. */
     if (RANDOM_BLOCKS ? __builtin_expect(random, 0) : random) {
 #if RANDOM_BLOCKS
         struct ctx cl = *c;
-        cl.lanes = 2;
+        cl.lanes = 1;
         for (uint64_t k = lo; k < hi; k += BLOCK) {
             unsigned mismatches = 0, j;
             for (j = 0; j < BLOCK; j++)

@@ -872,16 +872,20 @@ def test_planted_fault_in_csa_and_normalize_reported_identically(monkeypatch, un
     assert {k: report.counterexample[k] for k in planted} == planted
 
 
+def _compiler():
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) on PATH")
+    return cc
+
+
 @pytest.fixture(scope="module")
 def portable_kernels(tmp_path_factory):
     """The kernels built without -march, at -O0 to build fast, where the
     target has no AVX2 (x86-64's default target has none): their random
     sweeps run one case at a time, a loop a library built for an AVX2 host
     does not hold."""
-    cc = (sysconfig.get_config_var("CC") or "cc").split()
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler ({cc[0]}) on PATH")
-    flags = [*cc, "-O0", "-std=c99", sweeps._KERNELS_C]
+    flags = [*_compiler(), "-O0", "-std=c99", sweeps._KERNELS_C]
     macros = subprocess.run([*flags, "-dM", "-E"], capture_output=True, text=True, check=True)
     if "#define RANDOM_BLOCKS 0" not in macros.stdout:
         pytest.skip("the compiler's default target has AVX2")
@@ -957,6 +961,67 @@ def test_roundtrip_folds_match_pure_at_their_edges(monkeypatch, roundtrip_kernel
     for force_pure in (True, False):
         with pytest.raises(RangeExceeded, match=f"input {dynamic_range} outside"):
             sweeps.run_verify("roundtrip", n, p=p, force_pure=force_pure)
+
+
+def _planted_in_c(source):
+    """_kernels.c with forward_bad and roundtrip_bad also failing where the
+    case's z has mix64(z) % 97 == 0."""
+    source, count = re.subn(r"(INLINE int (?:forward|roundtrip)_bad\(.*?\n    return )(.*?);\n}",
+                            r"\1(\2) | (mix64(v[0]) % 97 == 0);\n}", source, flags=re.S)
+    assert count == 2
+    return source
+
+
+def _planted_in_pure(spec):
+    """The unit `spec` whose pure case also fails where oracle._mix64(z) % 97 == 0."""
+    def build(params):
+        fields, case = spec.build(params)
+
+        def planted(z):
+            got, want = case(z)
+            return (got, want) if oracle._mix64(z) % 97 else (None, want)
+        return fields, planted
+
+    return spec._replace(build=build)
+
+
+@pytest.fixture(scope="module", params=[["-march=native"], []], ids=["native", "portable"])
+def planted_kernels(request, tmp_path_factory):
+    """The kernels of _planted_in_c, built at -O0 for the host and without
+    -march: on an AVX2 host the first runs random sweeps in blocks, which
+    fold their draws, the second one case at a time, which divides."""
+    tmp = tmp_path_factory.mktemp("planted")
+    source, lib = tmp / "_kernels.c", tmp / "_kernels.so"
+    source.write_text(_planted_in_c(Path(sweeps._KERNELS_C).read_text()))
+    built = subprocess.run([*_compiler(), "-O0", "-std=c99", *request.param, "-shared", "-fPIC",
+                            "-o", str(lib), str(source)], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    return sweeps._open(str(lib))
+
+
+# Every width arm of the units whose span is the dynamic range, which the
+# block loop folds and the scalar loop divides.
+_DRAWN = [("forward", n, 0) for n in range(2, 13)]
+_DRAWN += [("roundtrip", n, p) for n in range(2, 11) for p in (0, n)]
+
+
+def test_random_draws_match_pure_at_every_width(monkeypatch, planted_kernels):
+    # A sweep that reports 0 failures binds no draw: two builds that draw
+    # other cases agree on it.  The planted fault fails about one case in
+    # 97, keyed by z alone, so the failure count and the first failing case
+    # of each report follow the exact stream of z values.
+    monkeypatch.setattr(sweeps, "_C", planted_kernels)
+    for unit in ("forward", "roundtrip"):
+        monkeypatch.setitem(sweeps.UNITS, unit, _planted_in_pure(sweeps.UNITS[unit]))
+    for unit, n, p in _DRAWN:
+        reports = [sweeps.run_verify(unit, n, p=p, mode="random", samples=2000, seed=7,
+                                     force_pure=force_pure).to_dict()
+                   for force_pure in (True, False)]
+        assert [report.pop("backend") for report in reports] == ["pure", "compiled"]
+        for report in reports:
+            report.pop("wall_time_s")
+        assert reports[1] == reports[0], (unit, n, p)
+        assert reports[0]["failures"] > 0, (unit, n, p)
 
 
 @needs_compiled
