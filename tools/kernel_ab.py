@@ -49,7 +49,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from cxrns import sweeps  # noqa: E402
 from cxrns.core import Params  # noqa: E402
 from cxrns.oracle import case_count  # noqa: E402
-from bench import EXHAUSTIVE, RANDOM, RANDOM_SAMPLES, Sweep, sweep_seeds  # noqa: E402
+from bench import EXHAUSTIVE, RANDOM, Sweep, sweep_seeds  # noqa: E402
 from run import cpu_model  # noqa: E402
 
 RANDOM_CASES = 2_000_000  # per call, unless --cases says otherwise
@@ -57,8 +57,8 @@ CALLS = 3  # a timed sample is the best of this many calls
 SEED = 1  # the random sweeps take the benchmark's seeds for --seed 1
 # Random sweeps that no benchmark workload runs: below n = 8 the draws by the
 # dynamic range 2^(n+p) (2^4n - 1) make more than two Mersenne chunks.
-NARROW = tuple(Sweep(unit, n, "random", RANDOM_SAMPLES) for unit, n in (
-    ("roundtrip", 5), ("roundtrip", 7), ("forward", 5)))
+NARROW = (Sweep("roundtrip", 5, "random"), Sweep("roundtrip", 7, "random"),
+          Sweep("forward", 5, "random"))
 
 
 def build(rev: str | None, cache: Path):
