@@ -13,13 +13,12 @@
  * takes their remainders: a block loop folds, by m = 2^2n + 1 end-around
  * (mod_m) and by 2^4n - 1 in Mersenne chunks (mod_mersenne), and a loop of
  * one case at a time divides.  So a block loop runs several cases per
- * vector instruction.  Exhaustive
- * sweeps always run in such blocks; random sweeps do where the target has
- * AVX2 (its 32-bit vector multiplies build the draw's 64-bit ones), and
- * elsewhere run one case at a time, which is faster there.  Either way a
- * random case draws its fields through draw_at.  Internal helpers
- * are static so the case loop never calls through the PLT; the exported
- * helpers exist for parity tests.
+ * vector instruction.  Exhaustive sweeps always run in such blocks; random
+ * sweeps do where the target has AVX2 (its 32-bit vector multiplies build
+ * the draw's 64-bit ones), and elsewhere run one case at a time, which is
+ * faster there.  Either way a random case draws its fields through
+ * draw_at.  Internal helpers are static so the case loop never calls
+ * through the PLT; the exported helpers exist for parity tests.
  */
 
 #include <stdint.h>
