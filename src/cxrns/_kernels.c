@@ -6,9 +6,10 @@
  * significant) in blocks of cases; a random sweep gives field f of case k
  * the value base + draw(seed, 8k + slot) mod span.  Each case function
  * mirrors its unit's Python dataflow and returns whether the case is a
- * mismatch.  A kernel runs only the specs its case function computes
- * exactly (n up to its SWEEP line's top, fields up to its <unit>_max); it
- * declines any other, which then runs on the pure-Python engine.  The case
+ * mismatch.  A kernel runs only the specs of its SWEEP line's usual shape
+ * that its case function computes exactly (n up to the line's top, fields
+ * up to its <unit>_max), each in the width arm of its n; it declines any
+ * other, which then runs on the pure-Python engine.  The case
  * functions have no branches gcc cannot turn into selects, and one rule
  * takes their remainders: a block loop folds, by m = 2^2n + 1 end-around
  * (mod_m) and by 2^4n - 1 in Mersenne chunks (mod_mersenne), and a loop of
@@ -108,19 +109,16 @@ INLINE uint64_t mod_mersenne(uint64_t a, int q, int bits)
 }
 
 /* x y mod c->m for x, y < 2^(2n+1), the largest operands the multiplier and
- * checkpoint kernels accept.  Where random sweeps run in blocks, a width arm
- * at n = 16, where the product passes 64 bits, splits each operand at
+ * checkpoint kernels accept.  Where random sweeps run in blocks, the width
+ * arm of n = 16, where the product passes 64 bits, splits each operand at
  * 2^2n = -1 (mod m) into x = xh 2^2n + xl, xh a bit: x y = xl yl - xh yl
  * - yh xl + xh yh (mod m) needs only 64-bit words and 32-bit vector
  * multiplies.  Past n = 16 xl yl passes 64 bits too.  Elsewhere the u128
- * remainder, exact as well, stays: in a scalar loop the split read 0.91x;
- * in the general loop, where n is no constant, it made gcc allocate the
- * registers of the whole sweep_multiplier worse, and without the
- * constant-n gate the benchmark's sweep-exhaustive read 0.84x end to end. */
+ * remainder, exact as well, stays: in a scalar loop the split read 0.91x. */
 INLINE uint64_t mul_mod_m(const struct ctx *c, uint64_t x, uint64_t y)
 {
     int w = 2 * c->n;
-    if (RANDOM_BLOCKS && __builtin_constant_p(c->n) && 4 * c->n + 2 > 64 && 2 * w <= 64) {
+    if (RANDOM_BLOCKS && 4 * c->n + 2 > 64 && 2 * w <= 64) {
         uint64_t wmask = c->m - 2, xh = x >> w, yh = y >> w, xl = x & wmask, yl = y & wmask;
         return mod_m(c, mod_m(c, xl * yl, 64) + 2 * c->m - (yl & -xh) - (xl & -yh) + (xh & yh),
                      w + 2);
@@ -483,8 +481,8 @@ INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * runs blocks of BLOCK cases within one run of u: one counted loop, which
  * vectorises, sums the block's mismatches, and only a block that holds the
  * sweep's first mismatch is scanned again, with the same arithmetic, for
- * its index.  The spans' product is below 2^63, as oracle.case_count
- * requires of an exhaustive sweep.
+ * its index.  The spans' product is below 2^63, as oracle.case_count and
+ * sweeps._kernel_call require of an exhaustive sweep.
  *
  * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
  * lo the same way, each of BLOCK counted steps that mask off the cases past
@@ -577,7 +575,8 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
  * mask and shift derived from it, a compile-time constant, which turns each
  * % by a modulus into a multiply and a shift.  An arm past the kernel's
  * largest width `top` is never reached and is dropped before inlining; one
- * past `xtop` runs only random sweeps, so its exhaustive loop is dropped. */
+ * past `xtop` runs only random sweeps, so its exhaustive loop is dropped and
+ * an exhaustive sweep there is declined. */
 #define ARM(k, unit, arity, usual, top, xtop)                                       \
     case k:                                                                         \
         if (k <= (top) && (random || k <= (xtop))) {                                \
@@ -600,13 +599,13 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(31, __VA_ARGS__)
 
 /* sweep_<unit>: returns -1 when the spec's field count is not the case
- * function's, and 1, running nothing, when n passes top or <unit>_max
- * declines the spec; that answer alone decides whether a sweep runs
- * compiled.  A spec of the unit's usual shape runs a case loop specialized
- * to it and to n, in the width arms 2..top (2..xtop for an exhaustive
- * sweep); any other spec (say, a shifted base or a narrowed span) runs one
- * general loop.  xtop is the largest n, at most top, whose usual case space
- * has fewer than 2^63 cases, the most an exhaustive sweep indexes. */
+ * function's, and 1, running nothing, when it declines the spec: when n
+ * passes top, <unit>_max declines it, or its shape is not the usual one of
+ * the unit's built-in spec (say, a shifted base or a narrowed span).  That
+ * answer alone decides whether a sweep runs compiled.  A spec it runs goes
+ * to the width arm of n, one of 2..top (2..xtop for an exhaustive sweep).
+ * xtop is the largest n, at most top, whose usual case space has fewer
+ * than 2^63 cases, the most an exhaustive sweep indexes. */
 #define SWEEP(unit, arity, usual, top, xtop)                                        \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
@@ -615,20 +614,14 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
         uint64_t max[arity];                                                        \
         if (nf != arity)                                                            \
             return -1;                                                              \
-        if (n > (top))                                                              \
+        if (n > (top) || !unit##_max(n, args, max)                                  \
+            || !fields_fit(nf, span, base, max)                                     \
+            || shape_of(n, (int)args[0], nf, span, base) != (usual))                \
             return 1;                                                               \
-        if (!unit##_max(n, args, max) || !fields_fit(nf, span, base, max))         \
-            return 1;                                                               \
-        unsigned shape = shape_of(n, (int)args[0], nf, span, base);                 \
-        if (shape == (usual)) {                                                     \
-            switch (n) {                                                            \
-                ARMS(unit, arity, usual, top, xtop)                                 \
-            }                                                                       \
+        switch (n) {                                                                \
+            ARMS(unit, arity, usual, top, xtop)                                     \
         }                                                                           \
-        struct ctx c = ctx_make(n, args);                                           \
-        run_cases(&c, unit##_bad, arity, shape, span, base, slot, random, seed,     \
-                  lo, hi, out);                                                     \
-        return 0;                                                                   \
+        return 1;                                                                   \
     }
 
 SWEEP(adder, 5, 1u | SPAN_M(0), 31, 15)                /* x spans 2^2n + 1 */

@@ -54,8 +54,12 @@ class Params:
     The full adaptive moduli set is {2^(n+p), 2^n - 1, 2^n + 1, 2^n -+ j};
     p = 0 gives the plain four-modulus form.  n is capped at 31 so every
     internal channel sum fits a 64-bit accumulator; only dynamic ranges
-    use arbitrary precision.  The word constants below are computed on
-    first use and then kept; fields, equality, hash and repr are (n, p).
+    use arbitrary precision.  p is any integer from 0: ``f_set``,
+    ``forward_std``, ``ncrt_plan`` and ``ncrt_reverse`` are exact for every
+    p, and the roundtrip sweep kernel declines the p its New-CRT sum does
+    not fit, which then runs on the pure engine.  The paper's 32-bit set is
+    ``f_set(5, 7)``.  The word constants below are computed on first use
+    and then kept; fields, equality, hash and repr are (n, p).
     """
 
     n: int
@@ -64,8 +68,8 @@ class Params:
     def __post_init__(self) -> None:
         if not 2 <= self.n <= 31:
             raise ValueError(f"channel width n must be in [2, 31], got {self.n}")
-        if not 0 <= self.p <= self.n:
-            raise ValueError(f"extension exponent p must be in [0, n], got {self.p}")
+        if self.p < 0:
+            raise ValueError(f"extension exponent p must be >= 0, got {self.p}")
 
     @cached_property
     def mask(self) -> int:

@@ -17,9 +17,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import shutil
 import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -62,9 +64,9 @@ class Unit(NamedTuple):
     got from the device under test, want from plain modular arithmetic.
     The ``sweep_<unit>`` export of ``_kernels.c`` runs the same fields
     through its own case function, and itself declines (see ``_kernel_run``)
-    a width or a field past what that case function computes exactly;
-    such a sweep runs on the pure engine.  ``kernel_args(n, p)`` gives the
-    kernel's extra arguments.
+    a width or a field past what that case function computes exactly, and
+    fields of another shape than these; such a sweep runs on the pure
+    engine.  ``kernel_args(n, p)`` gives the kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
 
@@ -235,8 +237,10 @@ def _cpu_features() -> str | None:
     return None
 
 
-def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycache__")):
-    """The compiled kernels, built from _kernels.c into `cache` on first use.
+def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycache__"),
+                  source: str = _KERNELS_C):
+    """The compiled kernels, built from the C file `source` into `cache` on
+    first use.
 
     Where the host CPU's feature list can be read, the build targets that
     CPU (``-march=native``; a compiler that rejects the flag builds once
@@ -250,11 +254,11 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
     library lacks an export of ``_SIGNATURES`` or when the cache cannot be
     written or loaded.
     """
-    with open(_KERNELS_C, "rb") as f:
-        source = hashlib.sha256(f.read()).hexdigest()
+    with open(source, "rb") as f:
+        digest = hashlib.sha256(f.read()).hexdigest()
     features = _cpu_features()
     cpu = "generic" if features is None else hashlib.sha256(features.encode()).hexdigest()[:16]
-    lib = os.path.join(cache, f"_kernels.{source}.{cpu}.so")
+    lib = os.path.join(cache, f"_kernels.{digest}.{cpu}.so")
     tmp = f"{lib}.{os.getpid()}.tmp"
     try:
         if not os.path.exists(lib):
@@ -266,18 +270,18 @@ def _load_kernels(cache: str = os.path.join(os.path.dirname(__file__), "__pycach
             os.makedirs(cache, exist_ok=True)
             for march in (["-march=native"], []) if features else ([],):
                 build = subprocess.run([*cc, "-O3", "-std=c99", *march, "-shared", "-fPIC",
-                                        _KERNELS_C, "-o", tmp], capture_output=True, text=True)
+                                        source, "-o", tmp], capture_output=True, text=True)
                 if not build.returncode:
                     break
             else:
-                warnings.warn(f"compiling {_KERNELS_C} failed, sweeps run in pure "
+                warnings.warn(f"compiling {source} failed, sweeps run in pure "
                               f"Python:\n{build.stderr}", RuntimeWarning)
                 return None
             os.replace(tmp, lib)
             for name in os.listdir(cache):  # libraries built from earlier sources
                 stale = os.path.join(cache, name)
                 if (name.startswith("_kernels.") and name.endswith(".so")
-                        and not name.startswith(f"_kernels.{source}.")):
+                        and not name.startswith(f"_kernels.{digest}.")):
                     try:
                         os.unlink(stale)
                     except OSError:  # gone already, or not ours to remove: keep loading
@@ -330,6 +334,8 @@ def _kernel_call(kernels, unit: str, params: Params, fields: tuple[Field, ...],
     the sweep.  Built, and the kernel asked, once per spec."""
     if any(max(f.span, f.base + f.span - 1) >= 1 << 64 for f in fields):
         return None
+    if not random and math.prod(f.span for f in fields) > sys.maxsize:
+        return None
     kernel = getattr(kernels, f"sweep_{unit}")
     column = _U64 * len(fields)
     args = (params.n, (_I64 * 5)(*UNITS[unit].kernel_args(params.n, params.p)),
@@ -349,9 +355,11 @@ def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], m
 
     The kernel alone decides: asked with an empty range, once per spec
     (``_kernel_call``), it declines (returns 1) a width past its SWEEP
-    line's top or a field past its case function's bounds.  A span or a
-    largest value past 2^64 - 1, which ctypes would wrap silently, never
-    reaches it.  A kernel call releases the GIL, so runs of disjoint ranges
+    line's top, a field past its case function's bounds, or a spec of
+    another shape than the unit's own.  A span or a largest value past
+    2^64 - 1, which ctypes would wrap silently, never reaches it, nor does
+    an exhaustive sweep of more than 2^63 - 1 cases, which its loop does
+    not index.  A kernel call releases the GIL, so runs of disjoint ranges
     run in parallel threads.
     """
     call = _kernel_call(kernels, unit, params, fields, mode == "random")

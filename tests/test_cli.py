@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cxrns import cli, sweeps
-from cxrns.core import GaussianPair, IntModulus, PowerOfTwo
+from cxrns.core import GaussianPair, IntModulus, PowerOfTwo, f_set
 from cxrns.reporting import VerifyReport, dumps_report
 
 
@@ -26,6 +26,14 @@ def test_parse_set_grammar():
                                       IntModulus(5), GaussianPair(2))
     assert cli.parse_set("f:n=3,p=2") == (PowerOfTwo(5), IntModulus(7),
                                           IntModulus(9), GaussianPair(3))
+
+
+def test_paper_32_bit_set_by_name(capsys):
+    # f:n=5,p=7 names the paper's 32-bit set, 4096,31,33,g5.
+    assert cli.parse_set("f:n=5,p=7") == cli.parse_set("4096,31,33,g5") == f_set(5, 7)
+    code, out, _ = run_cli(capsys, "convert", "--set", "f:n=5,p=7", "--forward", "4000000000")
+    assert code == 0
+    assert "[2048, 2, 7, 25]" in out
 
 
 def test_parse_set_errors():

@@ -36,15 +36,14 @@ def test_kernel_ab_appends_one_record_per_run(tmp_path):
 
 
 @pytest.mark.skipif(not sweeps.compiled_available(), reason="no C compiler to build _kernels.c")
-def test_kernel_ab_names_a_missing_export_in_one_line(monkeypatch, tmp_path):
+def test_kernel_ab_names_a_missing_export_in_one_line(tmp_path):
     # A library built from a few lines that define every export but one,
     # which the loader keeps in its cache and declines.
     source = tmp_path / "_kernels.c"
     source.write_text("".join(f"int {name}(void) {{ return 0; }}\n"
                               for name in sweeps._SIGNATURES if name != "sweep_normalize"))
-    monkeypatch.setattr(sweeps, "_KERNELS_C", str(source))
     with pytest.warns(RuntimeWarning, match="has no export sweep_normalize,"):
-        assert sweeps._load_kernels(str(tmp_path / "cache")) is None
+        assert sweeps._load_kernels(str(tmp_path / "cache"), str(source)) is None
     [lib] = (tmp_path / "cache").glob("*.so")
     out = tmp_path / "BENCH_kernels.json"
     done = subprocess.run([sys.executable, str(TOOL), "--base-lib", str(lib),

@@ -12,13 +12,12 @@ import sys
 import sysconfig
 import threading
 import time
-import types
 import warnings
 from pathlib import Path
 
 import pytest
 
-from cxrns import alu, oracle, reverse, sweeps
+from cxrns import alu, oracle, sweeps
 from cxrns.core import ComplexChannelResidue, Params, RangeExceeded, operand_value
 from cxrns.reporting import VerifyReport
 
@@ -252,26 +251,24 @@ def test_concurrent_first_sweeps_load_the_kernels_once(monkeypatch):
     assert loads == [1] and got == [kernels] * 8
 
 
-def test_failed_compile_warns_with_compiler_output(monkeypatch, tmp_path):
+def test_failed_compile_warns_with_compiler_output(tmp_path):
     if not sweeps.compiled_available():
         pytest.skip("no C compiler")
     broken = tmp_path / "_kernels.c"
     broken.write_text("int sweep_adder(void) { return missing_name; }\n")
-    monkeypatch.setattr(sweeps, "_KERNELS_C", str(broken))
     with pytest.warns(RuntimeWarning, match="missing_name"):
-        assert sweeps._load_kernels(str(tmp_path / "__pycache__")) is None
+        assert sweeps._load_kernels(str(tmp_path / "__pycache__"), str(broken)) is None
     assert list((tmp_path / "__pycache__").iterdir()) == []
 
 
 @needs_compiled
-def test_missing_export_warns_and_means_pure_backend(monkeypatch, tmp_path):
+def test_missing_export_warns_and_means_pure_backend(tmp_path):
     # The compiler builds a few lines that define every export but one.
     source = tmp_path / "_kernels.c"
     source.write_text("".join(f"int {name}(void) {{ return 0; }}\n"
                               for name in sweeps._SIGNATURES if name != "sweep_normalize"))
-    monkeypatch.setattr(sweeps, "_KERNELS_C", str(source))
     with pytest.warns(RuntimeWarning, match="has no export sweep_normalize,"):
-        assert sweeps._load_kernels(str(tmp_path / "__pycache__")) is None
+        assert sweeps._load_kernels(str(tmp_path / "__pycache__"), str(source)) is None
 
 
 def test_unwritable_cache_means_pure_backend(tmp_path):
@@ -403,11 +400,11 @@ def _dynamic_range(n, p):
 
 def test_sweep_lines_declare_the_spec_shape():
     # A SWEEP(unit, arity, usual, top, xtop) line whose usual shape drifts from
-    # the spec still gives right reports, but through the slower general case
-    # loop, and so does an exhaustive sweep past xtop; a width past top runs
-    # pure.  The usual shape also names the spans whose random draws the block
-    # loop folds (SPAN_M, SPAN_DR).  Width arms past top are dead code, and so
-    # are exhaustive loops of arms whose usual case space is too large to sweep.
+    # the spec makes its kernel decline the spec, which then runs pure, as
+    # does an exhaustive sweep past xtop and a width past top.  The usual
+    # shape also names the spans whose random draws the block loop folds
+    # (SPAN_M, SPAN_DR).  Width arms past top are dead code, and so are
+    # exhaustive loops of arms whose usual case space is too large to sweep.
     assert [unit for unit, _, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
     for unit, arity, usual, top, xtop in _SWEEP_LINES:
         declared = _declared_shape(usual)
@@ -432,13 +429,13 @@ _BLOCK = int(re.search(r"^#define BLOCK (\d+)", _SOURCE, re.M).group(1))
 _PURE_EXHAUSTIVE_CASES = 300_000  # the widest exhaustive sweep a parity test runs pure
 
 
-def _kernel_status(unit, n, p=0, width=None):
+def _kernel_status(unit, n, p=0, width=None, mode="random"):
     """What sweep_<unit> returns, asked with an empty case range at `width`
     (by default n), for the unit's spec at width n: 0 when it runs the spec,
     1 when it declines it."""
     fields, _ = sweeps.UNITS[unit].build(Params(n, p))
     params = Params(n if width is None else width, p)
-    run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, "random", 0)
+    run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, mode, 0)
     return 1 if run is None else 0
 
 
@@ -510,26 +507,28 @@ def _widened(spec, spans):
 
 
 # Fields widened within the bounds each unit's compiled case computes
-# exactly (its <unit>_max), so that the kernel runs them; the last entry of
-# each unit fills every field's bound.  An entry that keeps the unit's usual
-# shape runs in the width arms: the adder's carry, csa's and normalize's.
-# The others change it and run the general loop: a widened adder x or
-# multiplier y no longer spans m = 2^2n + 1, and checkpoint's spans stop
-# being powers of two.  Some plant faults; the adder's x and csa's z2 stay
-# exact.  (The compressor's op rejects wider words, so it has no plant.)
+# exactly (its <unit>_max) and in its usual shape, so that the kernel runs
+# them in its width arms; the last entry of each unit fills every field's
+# bound.  Some plant faults; csa's z2 stays exact.  (The compressor's op
+# rejects wider words, so it has no plant.)
 _STATE = {"i": lambda n: 1 << n, "r": lambda n: 1 << n,  # every state field at n bits
           "carry": lambda n: 1 << n, "borrow": lambda n: 1 << n}
 _WIDENED = {
-    "adder": [{"carry": lambda n: 4}, {"x": lambda n: (1 << 2 * n + 1) - 1},  # general loop
-              {"x": lambda n: 1 << 2 * n + 1, **_STATE}],  # general loop
-    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},  # general loop
-                   {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],  # general loop
-    "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1,  # general loop
-                    "y": lambda n: (1 << 2 * n + 1) - 1}],
+    "adder": [{"carry": lambda n: 4}],
     "csa": [{"z2": lambda n: 1 << n + 1},
             {"z2": lambda n: 1 << 2 * n, "z1": lambda n: 1 << 2 * n + 1,
              "z0": lambda n: 1 << 2 * n + 1}],
     "normalize": [{"borrow": lambda n: 4}, _STATE],
+}
+# Fields widened within those bounds into another shape than the unit's
+# own, which its kernel declines: a widened adder x or multiplier y no
+# longer spans m = 2^2n + 1, and checkpoint's spans stop being powers of
+# two.  Some plant faults.
+_OTHER_SHAPES = {
+    "adder": [{"x": lambda n: (1 << 2 * n + 1) - 1}, {"x": lambda n: 1 << 2 * n + 1, **_STATE}],
+    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},
+                   {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],
+    "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1, "y": lambda n: (1 << 2 * n + 1) - 1}],
 }
 # Fields widened one value past those bits, at every width.
 _PAST_THE_BITS = {
@@ -542,19 +541,24 @@ _PAST_THE_BITS = {
 
 
 @needs_compiled
-@pytest.mark.parametrize("unit", list(_WIDENED))
+@pytest.mark.parametrize("unit", list({**_WIDENED, **_OTHER_SHAPES}))
 def test_widened_specs_match_pure_reports(monkeypatch, unit):
     # A kernel checks once per sweep that every field fits the bits its case
-    # assumes; the width arms then run fields up to those bits exactly.
+    # assumes and that the spec keeps its unit's shape; the width arms then
+    # run fields up to those bits exactly.  The _OTHER_SHAPES sweeps run pure.
     real, failures = sweeps.UNITS[unit], 0
-    for spans in _WIDENED[unit]:
-        monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
-        for n in range(2, _TOP[unit] + 1):
-            failures += _pure_and_compiled(unit, n, mode="random", samples=300,
-                                           seed=3)["failures"]
-            if _exhaustive_cases(unit, n) <= _PURE_EXHAUSTIVE_CASES:
-                failures += _pure_and_compiled(unit, n)["failures"]
-            failures += _exhaustive_chunks_match_pure(unit, n)
+    for status, table in ((0, _WIDENED), (1, _OTHER_SHAPES)):
+        for spans in table.get(unit, []):
+            monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
+            for n in range(2, _TOP[unit] + 1):
+                failures += _pure_and_compiled(unit, n, status, mode="random", samples=300,
+                                               seed=3)["failures"]
+                if status:
+                    assert _kernel_status(unit, n, mode="exhaustive") == 1, (unit, n)
+                    continue
+                if _exhaustive_cases(unit, n) <= _PURE_EXHAUSTIVE_CASES:
+                    failures += _pure_and_compiled(unit, n)["failures"]
+                failures += _exhaustive_chunks_match_pure(unit, n)
     assert failures
 
 
@@ -627,7 +631,7 @@ def test_spans_past_64_bits_run_pure(monkeypatch):
 
 def _based(spec):
     """The unit `spec` with every base set to 1 and every span one smaller: no
-    largest value grows, so the kernel runs the spec, in its general loop."""
+    largest value grows, but the shape is another than the unit's own."""
     def build(params):
         fields, case = spec.build(params)
         return tuple(f._replace(base=1, span=f.span - 1) for f in fields), case
@@ -637,13 +641,54 @@ def _based(spec):
 
 @needs_compiled
 @pytest.mark.parametrize("unit", list(sweeps.UNITS))
-def test_general_loop_matches_pure_reports(monkeypatch, unit):
-    # Every base is 1, which no usual shape but checkpoint's has, and
-    # checkpoint's spans are no longer powers of two: no width arm runs these.
+def test_specs_of_another_shape_run_pure(monkeypatch, unit):
+    # A kernel runs only specs of its unit's own shape, in the width arm of
+    # n.  Every base 1, which no built-in spec but checkpoint's has, and
+    # checkpoint's spans then no longer powers of two: the kernel declines
+    # the spec in both modes, though its fields fit the kernel's bits, and
+    # the sweeps run pure.
     monkeypatch.setitem(sweeps.UNITS, unit, _based(sweeps.UNITS[unit]))
     for n in range(2, _TOP[unit] + 1):
-        _pure_and_compiled(unit, n, mode="random", samples=300, seed=3)
-        _exhaustive_chunks_match_pure(unit, n)
+        assert _kernel_status(unit, n, mode="exhaustive") == 1, (unit, n)
+        _pure_and_compiled(unit, n, status=1, mode="random", samples=300, seed=3)
+
+
+@needs_compiled
+def test_kernel_declines_exhaustive_sweeps_past_2_to_the_63(monkeypatch):
+    # An exhaustive case loop indexes fewer than 2^63 cases; past that its
+    # spans' product wraps, to 0 for both specs below, and divides by it.
+    # sweeps._kernel_call declines such a sweep before the kernel sees it:
+    # adder n = 31, and normalize at n = 30 with four fields of span 2^30,
+    # which keep its usual shape and fit normalize_max.  The normalize spec
+    # still runs compiled in random mode.
+    kernels = sweeps._kernels()
+    params = Params(31)
+    fields, _ = sweeps.UNITS["adder"].build(params)
+    assert sweeps._kernel_run(kernels, "adder", params, fields, "exhaustive", 0) is None
+    params = Params(30)
+    fields = tuple(f._replace(span=1 << 30) for f in sweeps.UNITS["normalize"].build(params)[0])
+    assert math.prod(f.span for f in fields) == 1 << 120
+    assert sweeps._kernel_run(kernels, "normalize", params, fields, "exhaustive", 0) is None
+    assert sweeps._kernel_run(kernels, "normalize", params, fields, "random", 0) is not None
+
+
+@needs_compiled
+def test_every_built_in_spec_runs_compiled_up_to_top():
+    # Every spec run_verify accepts (roundtrip at p = 0..n) runs compiled
+    # exactly where n is at most its SWEEP line's top, in both modes.
+    kernels = sweeps._kernels()
+    for unit, spec in sweeps.UNITS.items():
+        for n in range(2, 32):
+            for p in range(n + 1) if spec.reads_p else (0,):
+                params = Params(n, p)
+                fields, _ = spec.build(params)
+                for mode in ("exhaustive", "random"):
+                    try:
+                        oracle.case_count(fields, mode, 1, 0)
+                    except ValueError:  # too many cases to sweep exhaustively
+                        continue
+                    run = sweeps._kernel_run(kernels, unit, params, fields, mode, 0)
+                    assert (run is not None) == (n <= _TOP[unit]), (unit, n, p, mode)
 
 
 @needs_compiled
@@ -656,13 +701,104 @@ def test_folded_remainders_reach_their_second_subtraction():
         assert _exhaustive_chunks_match_pure("forward", n, starts=[start]) == 0, n
 
 
-def _blocks_match_pure(monkeypatch, spans, mode, samples=0, seed=0):
-    """Checks a multiplier fault planted at n = 4 by widening `spans`: its first
-    failure lies past the first block, and compiled chunks that put it at
-    either edge of a block, or start and end mid-block, count like the pure
-    engine; so do reports at workers 1 and 2."""
+def _planted(values):
+    """Whether the fault planted in every case function fails the case of
+    these field values: splitmix64 chained over them is 0 mod 1009."""
+    h = oracle._GOLDEN
+    for v in values:
+        h = oracle._mix64(h ^ v)
+    return h % 1009 == 0
+
+
+_PLANTED_C = """INLINE int planted(const uint64_t *v, int nf)
+{
+    uint64_t h = GOLDEN;
+    for (int f = 0; f < nf; f++)
+        h = mix64(h ^ v[f]);
+    return h % 1009 == 0;
+}
+
+"""
+
+
+def _planted_in_c(source):
+    """_kernels.c whose every <unit>_bad also fails where _planted holds."""
+    source = source.replace("/* --- case functions", _PLANTED_C + "/* --- case functions", 1)
+    for unit, arity, _, _, _ in _SWEEP_LINES:
+        source, count = re.subn(rf"(INLINE int {unit}_bad\(.*?\n    return )(.*?);\n}}",
+                                rf"\1(\2) | planted(v, {arity});\n}}", source, flags=re.S)
+        assert count == 1, unit
+    assert "planted(const uint64_t" in source
+    return source
+
+
+def _planted_in_pure(spec):
+    """The unit `spec` whose pure case also fails where _planted holds."""
+    def build(params):
+        fields, case = spec.build(params)
+
+        def planted(*values):
+            got, want = case(*values)
+            return (None, want) if _planted(values) else (got, want)
+        return fields, planted
+
+    return spec._replace(build=build)
+
+
+def _compiler():
+    cc = (sysconfig.get_config_var("CC") or "cc").split()
+    if shutil.which(cc[0]) is None:
+        pytest.skip(f"no C compiler ({cc[0]}) on PATH")
+    return cc
+
+
+_MARCH = {"native": ["-march=native"], "portable": []}
+
+
+@pytest.fixture(scope="module")
+def planted_builds(tmp_path_factory):
+    """build(name): the kernels of _planted_in_c built at -O0 with the flags
+    _MARCH[name], once per module.  On an AVX2 host the native build runs
+    random sweeps in blocks, which fold their draws, and the portable one
+    one case at a time, which divides.  Exhaustive sweeps run the same
+    block loop in both."""
+    built = {}
+
+    def build(name):
+        if name not in built:
+            tmp = tmp_path_factory.mktemp(f"planted-{name}")
+            source, lib = tmp / "_kernels.c", tmp / "_kernels.so"
+            source.write_text(_planted_in_c(Path(sweeps._KERNELS_C).read_text()))
+            done = subprocess.run([*_compiler(), "-O0", "-std=c99", *_MARCH[name], "-shared",
+                                   "-fPIC", "-o", str(lib), str(source)],
+                                  capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            built[name] = sweeps._open(str(lib))
+        return built[name]
+
+    return build
+
+
+def _use_planted(monkeypatch, planted_builds, name):
+    """Makes the planted build `name` the sweeps' library and plants the
+    same fault in every unit's pure case."""
+    monkeypatch.setattr(sweeps, "_C", planted_builds(name))
+    for unit, spec in list(sweeps.UNITS.items()):
+        monkeypatch.setitem(sweeps.UNITS, unit, _planted_in_pure(spec))
+
+
+@pytest.fixture(params=list(_MARCH))
+def planted_kernels(request, monkeypatch, planted_builds):
+    """The native, then the portable planted build, in use (_use_planted)."""
+    _use_planted(monkeypatch, planted_builds, request.param)
+
+
+def _blocks_match_pure(monkeypatch, mode, samples=0, seed=0):
+    """Checks the planted multiplier fault at n = 4: its first failure lies
+    past the first block, and compiled chunks that put it at either edge of
+    a block, or start and end mid-block, count like the pure engine; so do
+    reports at workers 1 and 2."""
     unit, n = "multiplier", 4
-    monkeypatch.setitem(sweeps.UNITS, unit, _widened(sweeps.UNITS[unit], spans))
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep both chunks
     params = Params(n)
     fields, case = sweeps.UNITS[unit].build(params)
@@ -684,22 +820,24 @@ def _blocks_match_pure(monkeypatch, spans, mode, samples=0, seed=0):
     assert reports[0]["failures"] > 0
 
 
-# Multiplier faults planted in a blocked exhaustive loop; y runs over 257 cases
-# (2^8 + 1) or 511 (planted).
-@needs_compiled
-@pytest.mark.parametrize("name", ["x", "y"])
-def test_blocks_find_the_first_failure_like_pure(monkeypatch, name):
-    _blocks_match_pure(monkeypatch, {name: lambda n: (1 << 2 * n + 1) - 1}, "exhaustive")
+# The planted multiplier fault in the blocked exhaustive loop of each build,
+# over 257^2 cases.
+def test_blocks_find_the_first_failure_like_pure(monkeypatch, planted_kernels):
+    _blocks_match_pure(monkeypatch, "exhaustive")
 
 
-# The same in random mode, where blocks run from each chunk's start: y reaches
-# one value past 2^2n, which fails on a few of 20,000 draws.  (A random sweep
-# runs in blocks only where the library targets AVX2; elsewhere this checks
-# the scalar loop.)
-@needs_compiled
-def test_random_blocks_find_the_first_failure_like_pure(monkeypatch):
-    _blocks_match_pure(monkeypatch, {"y": lambda n: (1 << 2 * n) + 2}, "random",
-                       samples=20_000, seed=0)
+# The same in random mode, where blocks run from each chunk's start, over
+# 20,000 draws.  (A random sweep runs in blocks only where the library
+# targets AVX2; elsewhere this checks the scalar loop.)
+def test_random_blocks_find_the_first_failure_like_pure(monkeypatch, planted_builds):
+    _use_planted(monkeypatch, planted_builds, "native")
+    _blocks_match_pure(monkeypatch, "random", samples=20_000, seed=0)
+
+
+# The random check above, run by the one-case-at-a-time loop of the portable build.
+def test_portable_random_loop_finds_the_first_failure_like_pure(monkeypatch, planted_builds):
+    _use_planted(monkeypatch, planted_builds, "portable")
+    _blocks_match_pure(monkeypatch, "random", samples=20_000, seed=0)
 
 
 _PARITY = [(unit, n, 0, mode) for unit in ("csa", "normalize")
@@ -821,70 +959,49 @@ def test_counterexample_ordering_deterministic_across_workers(monkeypatch):
     assert reports[0].counterexample == reports[1].counterexample == reports[2].counterexample
 
 
-def _planted_reports(monkeypatch, unit, names, n, mode):
-    """Reports of both backends at workers 1, 2 and 5 for `unit` with the
-    fields `names` shifted up by one, so that each reaches one past its range."""
-    spec = sweeps.UNITS[unit]
+def _planted_n(unit):
+    """The narrowest width at which `unit` has 4,000 exhaustive cases or more."""
+    return min(n for n in range(2, 32) if _exhaustive_cases(unit, n) >= 4000)
 
-    def shifted(params):
-        fields, case = spec.build(params)
-        return tuple(f._replace(base=1) if f.name in names else f for f in fields), case
 
-    monkeypatch.setitem(sweeps.UNITS, unit, spec._replace(build=shifted))
+def _planted_reports(monkeypatch, unit, mode):
+    """Checks that both backends report the planted fault of `unit` alike at
+    workers 1, 2 and 5, exhaustively at _planted_n or over 10,000 random
+    cases at n = 5, with the planted build in use (_use_planted)."""
+    n = _planted_n(unit) if mode == "exhaustive" else 5
     monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 8)  # keep all five chunks
-    assert _kernel_status(unit, n) == 0  # the kernel runs the planted spec
-    reports = [sweeps.run_verify(unit, n, mode=mode, samples=20_000, seed=7,
-                                 workers=workers, force_pure=force_pure)
+    assert _kernel_status(unit, n) == 0  # the kernel runs the unit's own spec
+    reports = [sweeps.run_verify(unit, n, mode=mode, samples=10_000, seed=7,
+                                 workers=workers, force_pure=force_pure).to_dict()
                for force_pure in (True, False) for workers in (1, 2, 5)]
-    assert reports[0].failures > 0
-    for report in reports[1:]:
-        assert report.failures == reports[0].failures
-        assert report.counterexample == reports[0].counterexample
-    assert [report.backend for report in reports] == ["pure"] * 3 + ["compiled"] * 3
-    return reports[0]
+    assert [report.pop("backend") for report in reports] == ["pure"] * 3 + ["compiled"] * 3
+    for report in reports:
+        report.pop("wall_time_s")
+    assert all(report == reports[0] for report in reports), unit
+    assert reports[0]["failures"] > 0, unit
 
 
-@needs_compiled
 @pytest.mark.parametrize("mode", ["exhaustive", "random"])
-def test_planted_fault_reported_identically_by_both_backends(monkeypatch, mode):
-    # The compiled kernel reads the shifted case space from the spec, so
-    # both backends must find the same faults at the same first case.
-    # y = 2^2n + 1 is out of range.
-    report = _planted_reports(monkeypatch, "multiplier", ("y",), 3, mode)
-    assert report.counterexample["y"] == 65
+def test_planted_fault_reported_identically_by_both_backends(monkeypatch, planted_builds, mode):
+    # The fault planted in every case function of the native build: both
+    # backends find the same faults at the same first case, for every unit.
+    _use_planted(monkeypatch, planted_builds, "native")
+    for unit in sweeps.UNITS:
+        _planted_reports(monkeypatch, unit, mode)
 
 
-_PLANTED = [
-    # The end-around fold takes one carry out of position 2n; z1 = z0 = 2^2n
-    # makes a second one.
-    pytest.param("csa", ("z1", "z0"), 2, {"z1": 16, "z0": 16}, id="csa"),
-    # borrow = 2 is no bit: NOT(borrow) in the sparse word becomes 3.
-    pytest.param("normalize", ("borrow",), 3, {"borrow": 2}, id="normalize"),
-]
-
-
-@needs_compiled
-@pytest.mark.parametrize("mode", ["exhaustive", "random"])
-@pytest.mark.parametrize("unit,names,n,planted", _PLANTED)
-def test_planted_fault_in_csa_and_normalize_reported_identically(monkeypatch, unit, names,
-                                                                 n, planted, mode):
-    report = _planted_reports(monkeypatch, unit, names, n, mode)
-    assert {k: report.counterexample[k] for k in planted} == planted
-
-
-def _compiler():
-    cc = (sysconfig.get_config_var("CC") or "cc").split()
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler ({cc[0]}) on PATH")
-    return cc
+# The random check above, run by the one-case-at-a-time loop of the portable build.
+@pytest.mark.parametrize("unit", list(sweeps.UNITS))
+def test_portable_random_loop_reports_planted_faults_like_pure(monkeypatch, planted_builds, unit):
+    _use_planted(monkeypatch, planted_builds, "portable")
+    _planted_reports(monkeypatch, unit, "random")
 
 
 @pytest.fixture(scope="module")
 def portable_kernels(tmp_path_factory):
     """The kernels built without -march, at -O0 to build fast, where the
-    target has no AVX2 (x86-64's default target has none): their random
-    sweeps run one case at a time, a loop a library built for an AVX2 host
-    does not hold."""
+    target has no AVX2 (x86-64's default target has none): a second,
+    unvectorised build of the block loop's folds."""
     flags = [*_compiler(), "-O0", "-std=c99", sweeps._KERNELS_C]
     macros = subprocess.run([*flags, "-dM", "-E"], capture_output=True, text=True, check=True)
     if "#define RANDOM_BLOCKS 0" not in macros.stdout:
@@ -894,25 +1011,9 @@ def portable_kernels(tmp_path_factory):
     return sweeps._open(str(lib))
 
 
-# The random checks above, run by the one-case-at-a-time loop of a portable build.
-def test_portable_random_loop_finds_the_first_failure_like_pure(monkeypatch, portable_kernels):
-    monkeypatch.setattr(sweeps, "_C", portable_kernels)
-    _blocks_match_pure(monkeypatch, {"y": lambda n: (1 << 2 * n) + 2}, "random",
-                       samples=20_000, seed=0)
-
-
-@pytest.mark.parametrize("unit,names,n,planted", [
-    pytest.param("multiplier", ("y",), 3, {"y": 65}, id="multiplier"), *_PLANTED])
-def test_portable_random_loop_reports_planted_faults_like_pure(monkeypatch, portable_kernels,
-                                                              unit, names, n, planted):
-    monkeypatch.setattr(sweeps, "_C", portable_kernels)
-    report = _planted_reports(monkeypatch, unit, names, n, "random")
-    assert {k: report.counterexample[k] for k in planted} == planted
-
-
 def _z_window(base, span):
     """The roundtrip unit with z over [base, base + span): a shifted or
-    narrowed span, which its kernel runs in the general loop."""
+    narrowed span, another shape than the unit's own."""
     spec = sweeps.UNITS["roundtrip"]
 
     def build(params):
@@ -941,8 +1042,8 @@ def test_roundtrip_folds_match_pure_at_their_edges(monkeypatch, roundtrip_kernel
     # 2^4n - 1, whose compare-subtract decides where they are 0 or -1 (mod the
     # tail): for z at multiples of the tail and one below them, and for the
     # sum where z < 2^(n+p); z = DR - 1 is the largest input.  Chunks of the
-    # usual spec run them in the width arm of n, windows of z in the general
-    # loop.
+    # unit's own spec run them in the width arm of n.  The kernel declines
+    # windows of z around them, which run pure.
     tail, dynamic_range = (1 << 4 * n) - 1, _dynamic_range(n, p)
     edges = [0, tail, 2 * tail, dynamic_range - tail, dynamic_range]
     starts = sorted({max(0, min(edge - 500, dynamic_range - 1000)) for edge in edges})
@@ -951,8 +1052,8 @@ def test_roundtrip_folds_match_pure_at_their_edges(monkeypatch, roundtrip_kernel
         base = max(0, min(edge - 300, dynamic_range - 600))
         monkeypatch.setitem(sweeps.UNITS, "roundtrip",
                             _z_window(base, min(600, dynamic_range - base)))
-        assert _pure_and_compiled("roundtrip", n, p=p)["failures"] == 0, edge
-        assert _pure_and_compiled("roundtrip", n, p=p, mode="random", samples=1000,
+        assert _pure_and_compiled("roundtrip", n, status=1, p=p)["failures"] == 0, edge
+        assert _pure_and_compiled("roundtrip", n, status=1, p=p, mode="random", samples=1000,
                                   seed=3)["failures"] == 0, edge
     # forward_std rejects a z from DR on, so the kernel declines a window past
     # it and both backends raise the same error.
@@ -963,58 +1064,19 @@ def test_roundtrip_folds_match_pure_at_their_edges(monkeypatch, roundtrip_kernel
             sweeps.run_verify("roundtrip", n, p=p, force_pure=force_pure)
 
 
-def _planted_in_c(source):
-    """_kernels.c with forward_bad and roundtrip_bad also failing where the
-    case's z has mix64(z) % 97 == 0."""
-    source, count = re.subn(r"(INLINE int (?:forward|roundtrip)_bad\(.*?\n    return )(.*?);\n}",
-                            r"\1(\2) | (mix64(v[0]) % 97 == 0);\n}", source, flags=re.S)
-    assert count == 2
-    return source
-
-
-def _planted_in_pure(spec):
-    """The unit `spec` whose pure case also fails where oracle._mix64(z) % 97 == 0."""
-    def build(params):
-        fields, case = spec.build(params)
-
-        def planted(z):
-            got, want = case(z)
-            return (got, want) if oracle._mix64(z) % 97 else (None, want)
-        return fields, planted
-
-    return spec._replace(build=build)
-
-
-@pytest.fixture(scope="module", params=[["-march=native"], []], ids=["native", "portable"])
-def planted_kernels(request, tmp_path_factory):
-    """The kernels of _planted_in_c, built at -O0 for the host and without
-    -march: on an AVX2 host the first runs random sweeps in blocks, which
-    fold their draws, the second one case at a time, which divides."""
-    tmp = tmp_path_factory.mktemp("planted")
-    source, lib = tmp / "_kernels.c", tmp / "_kernels.so"
-    source.write_text(_planted_in_c(Path(sweeps._KERNELS_C).read_text()))
-    built = subprocess.run([*_compiler(), "-O0", "-std=c99", *request.param, "-shared", "-fPIC",
-                            "-o", str(lib), str(source)], capture_output=True, text=True)
-    assert built.returncode == 0, built.stderr
-    return sweeps._open(str(lib))
-
-
 # Every width arm of the units whose span is the dynamic range, which the
 # block loop folds and the scalar loop divides.
 _DRAWN = [("forward", n, 0) for n in range(2, 13)]
 _DRAWN += [("roundtrip", n, p) for n in range(2, 11) for p in (0, n)]
 
 
-def test_random_draws_match_pure_at_every_width(monkeypatch, planted_kernels):
+def test_random_draws_match_pure_at_every_width(planted_kernels):
     # A sweep that reports 0 failures binds no draw: two builds that draw
     # other cases agree on it.  The planted fault fails about one case in
-    # 97, keyed by z alone, so the failure count and the first failing case
-    # of each report follow the exact stream of z values.
-    monkeypatch.setattr(sweeps, "_C", planted_kernels)
-    for unit in ("forward", "roundtrip"):
-        monkeypatch.setitem(sweeps.UNITS, unit, _planted_in_pure(sweeps.UNITS[unit]))
+    # 1,009, keyed by the case's field values, so the failure count and the
+    # first failing case of each report follow the exact stream of z values.
     for unit, n, p in _DRAWN:
-        reports = [sweeps.run_verify(unit, n, p=p, mode="random", samples=2000, seed=7,
+        reports = [sweeps.run_verify(unit, n, p=p, mode="random", samples=10_000, seed=7,
                                      force_pure=force_pure).to_dict()
                    for force_pure in (True, False)]
         assert [report.pop("backend") for report in reports] == ["pure", "compiled"]
@@ -1048,20 +1110,23 @@ def test_roundtrip_exhaustive_n4_reports_match_pure(p):
 @needs_compiled
 def test_roundtrip_kernel_declines_a_p_past_its_sum_bound():
     # roundtrip_max keeps the unsigned New-CRT sum below 2^64, which bounds p
-    # by itself: at n = 10 up to p = 12, past the p <= n that Params allows
-    # today, where 100,000 random cases run exact; at p = 13 the kernel
-    # declines, though z's span still fits its field.
-    n, one = 10, ctypes.c_uint64 * 1
-    kernel = sweeps._kernels().sweep_roundtrip
-    for p, status in [(12, 0), (13, 1)]:
-        moduli = ((1 << n + p), (1 << n) - 1, (1 << n) + 1, (1 << 2 * n) + 1)
-        plan = reverse.ncrt_plan(types.SimpleNamespace(moduli=moduli))
-        args = (ctypes.c_int64 * 5)(p, *plan.mu, -(sum(plan.mu) << n + p) % plan.tail_product)
-        out = (ctypes.c_int64 * 2)(-2, -2)
-        assert _dynamic_range(n, p) < 1 << 63
-        assert kernel(n, args, 1, one(_dynamic_range(n, p)), one(0), one(0), 1, 5,
-                      0, 100_000, out) == status, p
-        assert list(out) == ([0, -1] if status == 0 else [-2, -2]), p
+    # by itself: at n = 10 up to p = 12, where 100,000 random cases run
+    # exact; at p = 13 the kernel declines, though z's span still fits its
+    # field, and the sweep gives the forced-pure run's report.
+    assert _dynamic_range(10, 13) < 1 << 63
+    report = sweeps.run_verify("roundtrip", 10, p=12, mode="random", samples=100_000, seed=5)
+    assert (report.backend, report.failures) == ("compiled", 0)
+    report = _pure_and_compiled("roundtrip", 10, status=1, p=13, mode="random", samples=2000,
+                                seed=5)
+    assert report["failures"] == 0
+
+
+@needs_compiled
+def test_paper_32_bit_set_runs_compiled():
+    # f_set(5, 7), the paper's 32-bit set {2^12, 31, 33, 2^5 -+ j}: a p past
+    # n that the roundtrip kernel runs, with the pure engine's report.
+    report = _pure_and_compiled("roundtrip", 5, p=7, mode="random", samples=3000, seed=7)
+    assert report["failures"] == 0 and report["cases"] == 3000
 
 
 # Decoded cases pinned from the hand-written decoders the spec table replaced:

@@ -41,7 +41,6 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
-from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -71,8 +70,7 @@ def build(rev: str | None, cache: Path):
                               capture_output=True, check=True).stdout
         source = str(cache / "_kernels.c")
         Path(source).write_bytes(text)
-    with mock.patch.object(sweeps, "_KERNELS_C", source):
-        kernels = sweeps._load_kernels(str(cache))
+    kernels = sweeps._load_kernels(str(cache), source)
     if kernels is None:
         raise SystemExit(f"building {source} failed")
     return kernels
