@@ -6,10 +6,10 @@
  * significant) in blocks of cases; a random sweep gives field f of case k
  * the value base + draw(seed, 8k + slot) mod span.  Each case function
  * mirrors its unit's Python dataflow and returns whether the case is a
- * mismatch.  A kernel runs only the specs of its SWEEP line's usual shape
- * that its case function computes exactly (n up to the line's top, fields
- * up to its <unit>_max), each in the width arm of its n; it declines any
- * other, which then runs on the pure-Python engine.  The case
+ * mismatch.  A kernel runs exactly its unit's built-in spec, the one its
+ * <unit>_spec table writes down, at n up to its SWEEP line's top (roundtrip
+ * only where roundtrip_fits), in the width arm of n; it declines any other
+ * spec, which then runs on the pure-Python engine.  The case
  * functions have no branches gcc cannot turn into selects, and one rule
  * takes their remainders: a block loop folds, by m = 2^2n + 1 end-around
  * (mod_m) and by 2^4n - 1 in Mersenne chunks (mod_mersenne), and a loop of
@@ -67,15 +67,14 @@ INLINE struct ctx ctx_make(int n, const int64_t *args)
     return c;
 }
 
-/* a % c->m for a < 2^bits, where bits follows from n and the field bounds
- * of the case function (its <unit>_max), which every spec a kernel runs
- * keeps.  In a width arm n, and so bits, is a constant and the tests fold
- * away.  The block loop (lanes) reduces in ways that vectorise, as a 64-bit
- * remainder does not: below 2^32 by a 32-bit remainder, below 2^64 (and
- * 2^6n) by folding end-around (2^2n = -1 mod m) to below 3m and subtracting
- * m at most twice.  A scalar loop takes a 64-bit remainder, because gcc
- * turns some 32-bit ones into longer shift-add chains, and u128 only for
- * an a past 64 bits. */
+/* a % c->m for a < 2^bits, where bits follows from n and the unit's built-in
+ * spec, the only one a kernel runs.  In a width arm n, and so bits, is a
+ * constant and the tests fold away.  The block loop (lanes) reduces in ways
+ * that vectorise, as a 64-bit remainder does not: below 2^32 by a 32-bit
+ * remainder, below 2^64 (and 2^6n) by folding end-around (2^2n = -1 mod m) to
+ * below 3m and subtracting m at most twice.  A scalar loop takes a 64-bit
+ * remainder, because gcc turns some 32-bit ones into longer shift-add chains,
+ * and u128 only for an a past 64 bits. */
 INLINE uint64_t mod_m(const struct ctx *c, u128 a, int bits)
 {
     int w = 2 * c->n;
@@ -108,8 +107,8 @@ INLINE uint64_t mod_mersenne(uint64_t a, int q, int bits)
     return s - (ones & -(uint64_t)(s >= ones));
 }
 
-/* x y mod c->m for x, y < 2^(2n+1), the largest operands the multiplier and
- * checkpoint kernels accept.  Where random sweeps run in blocks, the width
+/* x y mod c->m for x, y < 2^(2n+1); the multiplier and checkpoint specs'
+ * operands are at most 2^2n.  Where random sweeps run in blocks, the width
  * arm of n = 16, where the product passes 64 bits, splits each operand at
  * 2^2n = -1 (mod m) into x = xh 2^2n + xl, xh a bit: x y = xl yl - xh yl
  * - yh xl + xh yh (mod m) needs only 64-bit words and 32-bit vector
@@ -225,23 +224,7 @@ INLINE uint64_t forward_dim1(int n, uint64_t m, uint64_t z)
     return (t & wmask) + 1 - (t >> (2 * n));  /* flagged: bits + (1 - zflag) */
 }
 
-/* --- case functions: field values in spec order, nonzero on a mismatch -----
- *
- * <unit>_max sets, per field, the largest value up to which the case
- * function computes what its unit's Python dataflow does at width n (at
- * most the SWEEP line's top) and kernel arguments args (p = args[0]): its
- * mod_m bounds hold and no word passes 64 bits.  It returns 0 for arguments
- * at which the case function computes no field value exactly.  A kernel
- * declines a spec with a field past it, or whose arguments it returns 0
- * for. */
-
-INLINE int adder_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = ONES(2 * n + 1);                     /* x <= 2^2n */
-    max[1] = max[2] = max[3] = max[4] = ONES(n);  /* i, r; carry, borrow with slack */
-    return 1;
-}
+/* --- case functions: field values in spec order, nonzero on a mismatch ----- */
 
 INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
 {
@@ -252,13 +235,6 @@ INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
     return phi(c, f) != mod_m(c, x + r + ((i + carry) << c->n) + c->m - borrow, 2 * c->n + 3);
 }
 
-INLINE int multiplier_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = max[1] = ONES(2 * n + 1);  /* x, y <= 2^2n */
-    return 1;
-}
-
 INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t x = v[0], y = v[1], xr, xi, xz, yr, yi, yz, f[4];
@@ -267,13 +243,6 @@ INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
     mul4(c->n, xr, xi, yr, yi, f);
     /* a zero flag gates the product to canonical zero */
     return (phi(c, f) & ((xz | yz) - 1)) != mul_mod_m(c, x, y);
-}
-
-INLINE int checkpoint_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = max[1] = ONES(2 * n + 1);  /* x, y <= 2^2n */
-    return 1;
 }
 
 INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
@@ -293,33 +262,21 @@ INLINE int checkpoint_bad(const struct ctx *c, const uint64_t *v)
     return t != mul_mod_m(c, x, y);
 }
 
-INLINE int forward_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = (ONES(4 * n) << n) - 1;  /* z < 2^n (2^4n - 1), as forward_22n1 accepts */
-    return 1;
-}
-
 INLINE int forward_bad(const struct ctx *c, const uint64_t *v)
 {
     return forward_dim1(c->n, c->m, v[0]) != mod_m(c, v[0], 5 * c->n);
 }
 
-/* z below the dynamic range 2^(n+p) (2^4n - 1), as forward_std accepts,
- * for n, p that keep roundtrip_bad's New-CRT sum S = sum_k mu_k (x_{k+1}
+/* Whether n, p keep roundtrip_bad's New-CRT sum S = sum_k mu_k (x_{k+1}
  * + 2^(n+p) - x_k) + off below 2^64: each mu_k and off is below 2^4n - 1, and
  * the three factors are at most 2^n + 2^(n+p), 2^n + 2^(n+p) and 2^2n
  * + 2^(n+p), so S < 2^4n (2^(n+1) + 2^2n + 3 2^(n+p)) + 2^4n, about 2^62 at
  * n = p = 10.  That bound also keeps the dynamic range below 2^63. */
-INLINE int roundtrip_max(int n, const int64_t *args, uint64_t *max)
+static int roundtrip_fits(int n, int64_t p)
 {
-    int64_t p = args[0];
-    if (n < 2 || p < 0 || 5 * n + p >= 64
-        || ((u128)1 << 4 * n) * (((u128)2 << n) + ((u128)1 << 2 * n) + ((u128)3 << (n + p)) + 1)
-           >= (u128)1 << 64)
-        return 0;
-    max[0] = (ONES(4 * n) << (n + p)) - 1;
-    return 1;
+    return p >= 0 && 5 * n + p < 64
+           && ((u128)1 << 4 * n) * (((u128)2 << n) + ((u128)1 << 2 * n) + ((u128)3 << (n + p)) + 1)
+              < (u128)1 << 64;
 }
 
 /* x1..x4 are z's residues by 2^(n+p), m2, m3 and m.  The New-CRT sum adds
@@ -349,27 +306,11 @@ INLINE int roundtrip_bad(const struct ctx *c, const uint64_t *v)
     return x1 + w * s != z;
 }
 
-INLINE int compressor_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = max[1] = max[2] = max[3] = ONES(n);  /* a, b, c, d: alu.compress42 rejects more */
-    max[4] = max[5] = 1;                          /* t_in, v_in */
-    return 1;
-}
-
 INLINE int compressor_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t vh, cn, vn;
     uint64_t u = compress42(c->n, v[0], v[1], v[2], v[3], v[4], v[5], &vh, &cn, &vn);
     return u + vh + ((cn + vn) << c->n) != v[0] + v[1] + v[2] + v[3] + v[4] + v[5];
-}
-
-INLINE int csa_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = ONES(2 * n);               /* z2 with slack */
-    max[1] = max[2] = ONES(2 * n + 1);  /* z1, z0 past 2^2n: a sum past 64 bits at n = 31 */
-    return 1;
 }
 
 INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
@@ -378,13 +319,6 @@ INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
     uint64_t u = csa22n1(c->n, z2, z1, z0, &w);
     return mod_m(c, u + w, 2 * c->n + 2)
            != mod_m(c, (u128)z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 3);
-}
-
-INLINE int normalize_max(int n, const int64_t *args, uint64_t *max)
-{
-    (void)args;
-    max[0] = max[1] = max[2] = max[3] = ONES(n);  /* i, r; carry, borrow with slack */
-    return 1;
 }
 
 INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
@@ -401,32 +335,14 @@ INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
 
 /* --- case loop --------------------------------------------------------------- */
 
-/* The bits of a spec's shape: bit f, span f is not a power of two; BASED, a
- * base is nonzero; SPAN_M(f), span f is m = 2^2n + 1; SPAN_DR(f), span f is
- * 2^(n+p) (2^4n - 1), the dynamic range of f_set(n, p). */
+/* The shape of a built-in spec, which its SWEEP line gives as the constant
+ * usual, so that the case loop's per-field tests fold away: bit f, span f is
+ * not a power of two; BASED, a base is nonzero; SPAN_M(f), span f is m =
+ * 2^2n + 1; SPAN_DR(f), span f is 2^(n+p) (2^4n - 1), the dynamic range of
+ * f_set(n, p). */
 #define BASED (1u << MAX_FIELDS)
 #define SPAN_M(f) (1u << (MAX_FIELDS + 1 + (f)))
 #define SPAN_DR(f) (1u << (2 * MAX_FIELDS + 1 + (f)))
-
-static unsigned shape_of(int n, int p, int nf, const uint64_t *span, const uint64_t *base)
-{
-    unsigned shape = 0;
-    for (int f = 0; f < nf; f++) {
-        shape |= (span[f] & (span[f] - 1) ? 1u << f : 0) | (base[f] ? BASED : 0);
-        shape |= span[f] == ((uint64_t)1 << (2 * n)) + 1 ? SPAN_M(f) : 0;
-        shape |= p >= 0 && 5 * n + p < 64 && span[f] == ONES(4 * n) << (n + p) ? SPAN_DR(f) : 0;
-    }
-    return shape;
-}
-
-/* Whether every field's largest value, base + span - 1, is at most max. */
-static int fields_fit(int nf, const uint64_t *span, const uint64_t *base, const uint64_t *max)
-{
-    for (int f = 0; f < nf; f++)
-        if (span[f] - 1 > max[f] || base[f] > max[f] - (span[f] - 1))
-            return 0;
-    return 1;
-}
 
 /* Whether exhaustive case u of the current run is a mismatch: field f from g
  * on is v[f] + (u >> sh[f] & mk[f]), each field before g holds v[f]. */
@@ -481,8 +397,7 @@ INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * runs blocks of BLOCK cases within one run of u: one counted loop, which
  * vectorises, sums the block's mismatches, and only a block that holds the
  * sweep's first mismatch is scanned again, with the same arithmetic, for
- * its index.  The spans' product is below 2^63, as oracle.case_count and
- * sweeps._kernel_call require of an exhaustive sweep.
+ * its index.  The spans' product is below 2^63 (xtop keeps it so).
  *
  * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
  * lo the same way, each of BLOCK counted steps that mask off the cases past
@@ -598,40 +513,70 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(28, __VA_ARGS__) ARM(29, __VA_ARGS__) ARM(30, __VA_ARGS__)                  \
     ARM(31, __VA_ARGS__)
 
-/* sweep_<unit>: returns -1 when the spec's field count is not the case
- * function's, and 1, running nothing, when it declines the spec: when n
- * passes top, <unit>_max declines it, or its shape is not the usual one of
- * the unit's built-in spec (say, a shifted base or a narrowed span).  That
- * answer alone decides whether a sweep runs compiled.  A spec it runs goes
- * to the width arm of n, one of 2..top (2..xtop for an exhaustive sweep).
- * xtop is the largest n, at most top, whose usual case space has fewer
- * than 2^63 cases, the most an exhaustive sweep indexes. */
-#define SWEEP(unit, arity, usual, top, xtop)                                        \
+/* --- built-in specs --------------------------------------------------------- */
+
+/* Each unit's spec as sweeps.UNITS builds it: per field, most significant
+ * first, its span (2, 2^n, 2^2n, m or the dynamic range DR), base and
+ * random-counter slot. */
+enum { S_2, S_N, S_2N, S_M, S_DR };
+struct field { unsigned char span, base, slot; };
+
+static const struct field adder_spec[] = {  /* x, i, r, carry, borrow */
+    {S_M, 0, 0}, {S_N, 0, 2}, {S_N, 0, 1}, {S_2, 0, 4}, {S_2, 0, 3}};
+static const struct field multiplier_spec[] = {{S_M, 0, 0}, {S_M, 0, 1}};     /* x, y */
+static const struct field checkpoint_spec[] = {{S_2N, 1, 0}, {S_2N, 1, 1}};   /* x, y */
+static const struct field forward_spec[] = {{S_DR, 0, 0}};  /* z, at p = 0: wide_range */
+static const struct field roundtrip_spec[] = {{S_DR, 0, 0}};                  /* z */
+static const struct field compressor_spec[] = {  /* a, b, c, d, t_in, v_in */
+    {S_N, 0, 0}, {S_N, 0, 1}, {S_N, 0, 2}, {S_N, 0, 3}, {S_2, 0, 4}, {S_2, 0, 5}};
+static const struct field csa_spec[] = {{S_N, 0, 0}, {S_2N, 0, 1}, {S_2N, 0, 2}};  /* z2, z1, z0 */
+static const struct field normalize_spec[] = {  /* i, r, carry, borrow */
+    {S_N, 0, 2}, {S_N, 0, 0}, {S_2, 0, 3}, {S_2, 0, 1}};
+#define ARITY(unit) (int)(sizeof unit##_spec / sizeof *unit##_spec)
+#define P_IS_0(n, p) ((p) == 0)  /* the bound on p of every unit but roundtrip */
+
+/* Whether span, base and slot are those of spec at width n and exponent p. */
+static int spec_is(const struct field *spec, int nf, int n, int p, const uint64_t *span,
+                   const uint64_t *base, const uint64_t *slot)
+{
+    for (int f = 0; f < nf; f++) {
+        int k = spec[f].span;
+        uint64_t want = k == S_2 ? 2 : k == S_N ? (uint64_t)1 << n
+                        : k == S_DR ? ONES(4 * n) << (n + p) : ((uint64_t)1 << 2 * n) + (k == S_M);
+        if (span[f] != want || base[f] != spec[f].base || slot[f] != spec[f].slot)
+            return 0;
+    }
+    return 1;
+}
+
+/* sweep_<unit>: returns 1, running nothing, when it declines the spec,
+ * which is any but <unit>_spec at a width n of 2..top and an exponent p =
+ * args[0] that fits(n, p) admits.  That answer alone decides whether a
+ * sweep runs compiled.  A spec it runs goes to the width arm of n (for an
+ * exhaustive sweep, up to xtop: the largest n, at most top, whose spec has
+ * fewer than 2^63 cases, the most its loop indexes). */
+#define SWEEP(unit, usual, top, xtop, fits)                                         \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
     {                                                                               \
-        uint64_t max[arity];                                                        \
-        if (nf != arity)                                                            \
-            return -1;                                                              \
-        if (n > (top) || !unit##_max(n, args, max)                                  \
-            || !fields_fit(nf, span, base, max)                                     \
-            || shape_of(n, (int)args[0], nf, span, base) != (usual))                \
+        if (n < 2 || n > (top) || !fits(n, args[0]) || nf != ARITY(unit)           \
+            || !spec_is(unit##_spec, nf, n, (int)args[0], span, base, slot))        \
             return 1;                                                               \
         switch (n) {                                                                \
-            ARMS(unit, arity, usual, top, xtop)                                     \
+            ARMS(unit, ARITY(unit), usual, top, xtop)                               \
         }                                                                           \
         return 1;                                                                   \
     }
 
-SWEEP(adder, 5, 1u | SPAN_M(0), 31, 15)                /* x spans 2^2n + 1 */
-SWEEP(multiplier, 2, 3u | SPAN_M(0) | SPAN_M(1), 31, 15)  /* x, y span 2^2n + 1 */
-SWEEP(checkpoint, 2, BASED, 30, 15)  /* x, y from 1; top: i_sum 2^n fits in 63 bits */
-SWEEP(forward, 1, 1u | SPAN_DR(0), 12, 12)    /* top: 5n-bit inputs in 63 bits */
-SWEEP(roundtrip, 1, 1u | SPAN_DR(0), 10, 10)  /* top: roundtrip_max's sum bound at p = 0 */
-SWEEP(compressor, 6, 0u, 31, 15)
-SWEEP(csa, 3, 0u, 31, 12)
-SWEEP(normalize, 4, 0u, 31, 30)
+SWEEP(adder, 1u | SPAN_M(0), 31, 15, P_IS_0)                /* x spans 2^2n + 1 */
+SWEEP(multiplier, 3u | SPAN_M(0) | SPAN_M(1), 31, 15, P_IS_0)  /* x, y span 2^2n + 1 */
+SWEEP(checkpoint, BASED, 30, 15, P_IS_0)  /* x, y from 1; top: i_sum 2^n fits in 63 bits */
+SWEEP(forward, 1u | SPAN_DR(0), 12, 12, P_IS_0)  /* top: 5n-bit inputs in 63 bits */
+SWEEP(roundtrip, 1u | SPAN_DR(0), 10, 10, roundtrip_fits)  /* top: roundtrip_fits at p = 0 */
+SWEEP(compressor, 0u, 31, 15, P_IS_0)
+SWEEP(csa, 0u, 31, 12, P_IS_0)
+SWEEP(normalize, 0u, 31, 30, P_IS_0)
 
 /* --- exported helpers (parity checks against the Python dataflow) ----------- */
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import math
 import os
 import shutil
 import subprocess
-import sys
 import threading
 import time
 import warnings
@@ -62,11 +60,11 @@ class Unit(NamedTuple):
     ``build(params)`` returns the unit's fields, most significant first,
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
-    The ``sweep_<unit>`` export of ``_kernels.c`` runs the same fields
-    through its own case function, and itself declines (see ``_kernel_run``)
-    a width or a field past what that case function computes exactly, and
-    fields of another shape than these; such a sweep runs on the pure
-    engine.  ``kernel_args(n, p)`` gives the kernel's extra arguments.
+    The ``sweep_<unit>`` export of ``_kernels.c`` runs exactly these
+    fields, which its ``<unit>_spec`` table repeats, through its own case
+    function; it declines (see ``_kernel_run``) a width past its top and any
+    other fields, and such a sweep runs on the pure engine.
+    ``kernel_args(n, p)`` gives the kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
 
@@ -334,18 +332,12 @@ def _kernel_call(kernels, unit: str, params: Params, fields: tuple[Field, ...],
     the sweep.  Built, and the kernel asked, once per spec."""
     if any(max(f.span, f.base + f.span - 1) >= 1 << 64 for f in fields):
         return None
-    if not random and math.prod(f.span for f in fields) > sys.maxsize:
-        return None
     kernel = getattr(kernels, f"sweep_{unit}")
     column = _U64 * len(fields)
     args = (params.n, (_I64 * 5)(*UNITS[unit].kernel_args(params.n, params.p)),
             len(fields), column(*(f.span for f in fields)),
             column(*(f.base for f in fields)), column(*(f.slot for f in fields)), random)
-    status = kernel(*args, 0, 0, 0, (_I64 * 2)())
-    if status < 0:
-        raise RuntimeError(f"the {unit} kernel takes a different number of "
-                           f"fields than the {unit} spec")
-    return None if status else (kernel, args)
+    return None if kernel(*args, 0, 0, 0, (_I64 * 2)()) else (kernel, args)
 
 
 def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], mode: str,
@@ -354,13 +346,12 @@ def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], m
     ``sweep_<unit>`` of `kernels`, or None when the kernel declines the sweep.
 
     The kernel alone decides: asked with an empty range, once per spec
-    (``_kernel_call``), it declines (returns 1) a width past its SWEEP
-    line's top, a field past its case function's bounds, or a spec of
-    another shape than the unit's own.  A span or a largest value past
-    2^64 - 1, which ctypes would wrap silently, never reaches it, nor does
-    an exhaustive sweep of more than 2^63 - 1 cases, which its loop does
-    not index.  A kernel call releases the GIL, so runs of disjoint ranges
-    run in parallel threads.
+    (``_kernel_call``), it runs exactly its unit's built-in spec, at widths
+    up to its SWEEP line's top (exhaustive sweeps up to its xtop; roundtrip
+    only where its New-CRT sum bound holds), and declines (returns 1) any
+    other.  A span or a largest value past 2^64 - 1, which ctypes would
+    wrap silently, never reaches it.  A kernel call releases the GIL, so
+    runs of disjoint ranges run in parallel threads.
     """
     call = _kernel_call(kernels, unit, params, fields, mode == "random")
     if call is None:

@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import itertools
 import math
 import multiprocessing
 import operator
@@ -366,31 +367,15 @@ def test_every_unit_has_a_kernel():
 
 with open(sweeps._KERNELS_C) as _f:
     _SOURCE = _f.read()
-# SWEEP(unit, arity, usual, top, xtop): one line per unit, in UNITS order.
-_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), ([^,]*), (\d+), (\d+)\)", _SOURCE, re.M)
-_TOP = {unit: int(top) for unit, _, _, top, _ in _SWEEP_LINES}
-_XTOP = {unit: int(xtop) for unit, _, _, _, xtop in _SWEEP_LINES}
+# SWEEP(unit, usual, top, xtop, fits): one line per unit, in UNITS order.
+_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), ([^,]*), (\d+), (\d+), (\w+)\)", _SOURCE, re.M)
+_TOP = {unit: int(top) for unit, _, top, _, _ in _SWEEP_LINES}
+_XTOP = {unit: int(xtop) for unit, _, _, xtop, _ in _SWEEP_LINES}
 
 
 def _exhaustive_cases(unit, n, p=0):
     fields, _ = sweeps.UNITS[unit].build(Params(n, p))
     return math.prod(f.span for f in fields)
-
-
-def _declared_shape(usual):
-    """The parts of a SWEEP line's usual shape: the bits of the fields whose span
-    is not a power of two, whether it is BASED, and the fields named by
-    SPAN_M(f) (span m = 2^2n + 1) and by SPAN_DR(f) (span 2^(n+p) (2^4n - 1))."""
-    shape = {"bits": 0, "based": False, "m": set(), "dr": set()}
-    for term in usual.replace(" ", "").split("|"):
-        kind = re.fullmatch(r"SPAN_(M|DR)\((\d+)\)", term)
-        if kind:
-            shape[kind[1].lower()].add(int(kind[2]))
-        elif term == "BASED":
-            shape["based"] = True
-        else:
-            shape["bits"] |= int(term.rstrip("u"))
-    return shape
 
 
 def _dynamic_range(n, p):
@@ -399,42 +384,63 @@ def _dynamic_range(n, p):
 
 
 def test_sweep_lines_declare_the_spec_shape():
-    # A SWEEP(unit, arity, usual, top, xtop) line whose usual shape drifts from
-    # the spec makes its kernel decline the spec, which then runs pure, as
-    # does an exhaustive sweep past xtop and a width past top.  The usual
-    # shape also names the spans whose random draws the block loop folds
-    # (SPAN_M, SPAN_DR).  Width arms past top are dead code, and so are
-    # exhaustive loops of arms whose usual case space is too large to sweep.
+    # An exhaustive sweep past a SWEEP(unit, usual, top, xtop, fits) line's
+    # xtop is declined, as is a width past top.  Width arms past top are dead
+    # code, and so are exhaustive loops of arms whose case space is too large
+    # to sweep.  (Which fields a kernel runs: the test below.)
     assert [unit for unit, _, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
-    for unit, arity, usual, top, xtop in _SWEEP_LINES:
-        declared = _declared_shape(usual)
-        spec = sweeps.UNITS[unit]
-        for n in (2, 5, int(top)):
-            for p in (0, n) if spec.reads_p else (0,):
-                params = Params(n, p)
-                fields, _ = spec.build(params)
-                dynamic_range = _dynamic_range(n, p)
-                shape = {"bits": sum(1 << k for k, f in enumerate(fields) if f.span & (f.span - 1)),
-                         "based": any(f.base for f in fields),
-                         "m": {k for k, f in enumerate(fields) if f.span == params.modulus},
-                         "dr": {k for k, f in enumerate(fields) if f.span == dynamic_range}}
-                assert (len(fields), shape) == (int(arity), declared), (unit, n, p)
+    for unit, _, top, xtop, _ in _SWEEP_LINES:
         assert int(xtop) == max([n for n in range(2, int(top) + 1)
                                  if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
     assert [int(k) for k in arms] == list(range(2, max(_TOP.values()) + 1))
 
 
+def _one_field_off(fields):
+    """Every spec one change away from `fields`: a span one smaller or one
+    larger, a base one larger, or two fields' slots swapped."""
+    for k, f in enumerate(fields):
+        for change in (dict(span=f.span - 1), dict(span=f.span + 1), dict(base=f.base + 1)):
+            yield fields[:k] + (f._replace(**change),) + fields[k + 1:]
+    for j, k in itertools.combinations(range(len(fields)), 2):
+        swapped = list(fields)
+        swapped[j], swapped[k] = fields[j]._replace(slot=fields[k].slot), \
+            fields[k]._replace(slot=fields[j].slot)
+        yield tuple(swapped)
+
+
+@needs_compiled
+def test_kernel_runs_only_the_built_in_spec():
+    # Each kernel checks a spec's spans, bases and slots against its unit's
+    # table at the entry: one field off the built-in spec, it declines.  So
+    # it does for an exponent p its SWEEP line's fits refuses, which only a
+    # direct call can pass: p = 1 to a unit that reads none, p = -1.
+    kernels = sweeps._kernels()
+    for unit, spec in sweeps.UNITS.items():
+        for n in (2, 5, _TOP[unit]):
+            for p in (0, n) if spec.reads_p else (0,):
+                params = Params(n, p)
+                fields, _ = spec.build(params)
+                call = sweeps._kernel_call(kernels, unit, params, fields, True)
+                assert call is not None, (unit, n, p)
+                kernel, args = call
+                bad_p = (sweeps._I64 * 5)(-1 if spec.reads_p else 1)
+                assert kernel(n, bad_p, *args[2:], 0, 0, 0, (sweeps._I64 * 2)()) == 1, (unit, n)
+                for other in _one_field_off(fields):
+                    for mode in ("exhaustive", "random"):
+                        assert sweeps._kernel_run(kernels, unit, params, other, mode, 0) is None, \
+                            (unit, n, p, other, mode)
+
+
 _BLOCK = int(re.search(r"^#define BLOCK (\d+)", _SOURCE, re.M).group(1))
 _PURE_EXHAUSTIVE_CASES = 300_000  # the widest exhaustive sweep a parity test runs pure
 
 
-def _kernel_status(unit, n, p=0, width=None, mode="random"):
-    """What sweep_<unit> returns, asked with an empty case range at `width`
-    (by default n), for the unit's spec at width n: 0 when it runs the spec,
-    1 when it declines it."""
-    fields, _ = sweeps.UNITS[unit].build(Params(n, p))
-    params = Params(n if width is None else width, p)
+def _kernel_status(unit, n, p=0, mode="random"):
+    """What sweep_<unit> returns, asked with an empty case range, for the
+    unit's spec at width n: 0 when it runs the spec, 1 when it declines it."""
+    params = Params(n, p)
+    fields, _ = sweeps.UNITS[unit].build(params)
     run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, mode, 0)
     return 1 if run is None else 0
 
@@ -506,91 +512,90 @@ def _widened(spec, spans):
     return spec._replace(build=build)
 
 
-# Fields widened within the bounds each unit's compiled case computes
-# exactly (its <unit>_max) and in its usual shape, so that the kernel runs
-# them in its width arms; the last entry of each unit fills every field's
-# bound.  Some plant faults; csa's z2 stays exact.  (The compressor's op
-# rejects wider words, so it has no plant.)
+def _based(spec):
+    """The unit `spec` with every base set to 1 and every span one smaller: no
+    largest value grows, but the spec is another than the unit's own."""
+    def build(params):
+        fields, case = spec.build(params)
+        return tuple(f._replace(base=1, span=f.span - 1) for f in fields), case
+
+    return spec._replace(build=build)
+
+
+def _widen(**spans):
+    """The change _widened makes, as a function of the unit's spec."""
+    return lambda spec: _widened(spec, spans)
+
+
 _STATE = {"i": lambda n: 1 << n, "r": lambda n: 1 << n,  # every state field at n bits
           "carry": lambda n: 1 << n, "borrow": lambda n: 1 << n}
-_WIDENED = {
-    "adder": [{"carry": lambda n: 4}],
-    "csa": [{"z2": lambda n: 1 << n + 1},
-            {"z2": lambda n: 1 << 2 * n, "z1": lambda n: 1 << 2 * n + 1,
-             "z0": lambda n: 1 << 2 * n + 1}],
-    "normalize": [{"borrow": lambda n: 4}, _STATE],
-}
-# Fields widened within those bounds into another shape than the unit's
-# own, which its kernel declines: a widened adder x or multiplier y no
-# longer spans m = 2^2n + 1, and checkpoint's spans stop being powers of
-# two.  Some plant faults.
-_OTHER_SHAPES = {
-    "adder": [{"x": lambda n: (1 << 2 * n + 1) - 1}, {"x": lambda n: 1 << 2 * n + 1, **_STATE}],
-    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) - 1},
-                   {"x": lambda n: 1 << 2 * n + 1, "y": lambda n: 1 << 2 * n + 1}],
-    "checkpoint": [{"x": lambda n: (1 << 2 * n + 1) - 1, "y": lambda n: (1 << 2 * n + 1) - 1}],
-}
-# Fields widened one value past those bits, at every width.
-_PAST_THE_BITS = {
-    "adder": [{"x": lambda n: (1 << 2 * n + 1) + 1}],
-    "multiplier": [{"y": lambda n: (1 << 2 * n + 1) + 1}],
-    "checkpoint": [{"y": lambda n: 1 << 2 * n + 1}],
-    "csa": [{"z1": lambda n: (1 << 2 * n + 1) + 1, "z0": lambda n: (1 << 2 * n + 1) + 1}],
-    "normalize": [{"i": lambda n: 1 << n + 2}],
+# Specs other than each unit's built-in one: fields widened or narrowed, or
+# every base 1.  Each row says whether the pure engine finds failures in it
+# at some width; in the rows that plant faults it does.
+_FOREIGN = {
+    "adder": [(_widen(carry=lambda n: 4), True),
+              (_widen(x=lambda n: (1 << 2 * n + 1) - 1), False),
+              (_widen(x=lambda n: 1 << 2 * n + 1, **_STATE), True),
+              (_widen(x=lambda n: (1 << 2 * n + 1) + 1), False),
+              # borrow past m: the compiled case's uint64 arithmetic wrapped it,
+              # and run compiled gave 300, 300 and 67 failures at n = 2, 5, 8.
+              (_widen(x=lambda n: (1 << 33) + 1), False),
+              (_based, False)],
+    "multiplier": [(_widen(y=lambda n: (1 << 2 * n + 1) - 1), True),
+                   (_widen(x=lambda n: 1 << 2 * n + 1, y=lambda n: 1 << 2 * n + 1), True),
+                   (_widen(y=lambda n: (1 << 2 * n + 1) + 1), True),
+                   (_based, False)],
+    "checkpoint": [(_widen(x=lambda n: (1 << 2 * n + 1) - 1, y=lambda n: (1 << 2 * n + 1) - 1),
+                    True),
+                   (_widen(y=lambda n: 1 << 2 * n + 1), True),
+                   (_based, False)],
+    "forward": [(_based, False)],
+    "roundtrip": [(_based, False)],
+    "compressor": [(_based, False)],
+    "csa": [(_widen(z2=lambda n: 1 << n + 1), False),
+            (_widen(z2=lambda n: 1 << 2 * n, z1=lambda n: 1 << 2 * n + 1,
+                    z0=lambda n: 1 << 2 * n + 1), True),
+            (_widen(z1=lambda n: (1 << 2 * n + 1) + 1, z0=lambda n: (1 << 2 * n + 1) + 1), True),
+            (_based, False)],
+    # _STATE at n = 30: four spans of 2^30, whose product wraps to 0 in 64 bits.
+    "normalize": [(_widen(borrow=lambda n: 4), True), (_widen(**_STATE), True),
+                  (_widen(i=lambda n: 1 << n + 2), False), (_based, False)],
 }
 
 
 @needs_compiled
-@pytest.mark.parametrize("unit", list({**_WIDENED, **_OTHER_SHAPES}))
-def test_widened_specs_match_pure_reports(monkeypatch, unit):
-    # A kernel checks once per sweep that every field fits the bits its case
-    # assumes and that the spec keeps its unit's shape; the width arms then
-    # run fields up to those bits exactly.  The _OTHER_SHAPES sweeps run pure.
-    real, failures = sweeps.UNITS[unit], 0
-    for status, table in ((0, _WIDENED), (1, _OTHER_SHAPES)):
-        for spans in table.get(unit, []):
-            monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
-            for n in range(2, _TOP[unit] + 1):
-                failures += _pure_and_compiled(unit, n, status, mode="random", samples=300,
-                                               seed=3)["failures"]
-                if status:
-                    assert _kernel_status(unit, n, mode="exhaustive") == 1, (unit, n)
-                    continue
-                if _exhaustive_cases(unit, n) <= _PURE_EXHAUSTIVE_CASES:
-                    failures += _pure_and_compiled(unit, n)["failures"]
-                failures += _exhaustive_chunks_match_pure(unit, n)
-    assert failures
-
-
-@needs_compiled
-@pytest.mark.parametrize("unit", list(_PAST_THE_BITS))
-def test_specs_past_the_kernel_bits_run_pure(monkeypatch, unit):
-    # A kernel declines a field past its bits, so the sweep runs on the pure
-    # engine whatever the backend asked for.
+@pytest.mark.parametrize("unit", list(_FOREIGN))
+def test_specs_of_another_shape_run_pure(monkeypatch, unit):
+    # A kernel runs only its unit's built-in spec.  At every width up to its
+    # top it declines each spec of _FOREIGN in both modes, and the sweep
+    # gives the forced-pure run's report.
     real = sweeps.UNITS[unit]
-    for spans in _PAST_THE_BITS[unit]:
-        monkeypatch.setitem(sweeps.UNITS, unit, _widened(real, spans))
+    for change, faults in _FOREIGN[unit]:
+        monkeypatch.setitem(sweeps.UNITS, unit, change(real))
+        failures = 0
         for n in range(2, _TOP[unit] + 1):
-            _pure_and_compiled(unit, n, status=1, mode="random", samples=300, seed=3)
+            assert _kernel_status(unit, n, mode="exhaustive") == 1, (unit, n)
+            failures += _pure_and_compiled(unit, n, status=1, mode="random", samples=300,
+                                           seed=3)["failures"]
+        assert (failures > 0) == faults, (unit, failures)
 
 
 @needs_compiled
 @pytest.mark.parametrize("unit", [unit for unit, top in _TOP.items() if top < 31])
 def test_widths_past_top_are_declined(unit):
     # A SWEEP line's top is the kernel's only width bound: one past it, the
-    # kernel declines the spec of width top, whose fields fit, and the sweep
-    # runs pure.
+    # kernel declines its unit's own spec, and the sweep runs pure.
     top = _TOP[unit]
     assert _kernel_status(unit, top) == 0
-    assert _kernel_status(unit, top, width=top + 1) == 1
+    assert _kernel_status(unit, top + 1) == 1
     assert _backend(unit, top + 1) == "pure"
 
 
 @needs_compiled
 def test_forward_inputs_past_wide_range_raise_on_both_backends(monkeypatch):
-    # forward_22n1 rejects a z at or past wide_range, so the kernel declines a
-    # spec that reaches it rather than pass inputs the op rejects: the last of
-    # these wide_range + 1 cases raises on either backend.
+    # forward_22n1 rejects a z at or past wide_range.  The kernel declines a
+    # spec that reaches it, as any but its own, so the last of these
+    # wide_range + 1 cases raises on either backend.
     monkeypatch.setitem(sweeps.UNITS, "forward", _widened(
         sweeps.UNITS["forward"], {"z": lambda n: Params(n).wide_range + 1}))
     for n in range(2, _TOP["forward"] + 1):
@@ -598,18 +603,6 @@ def test_forward_inputs_past_wide_range_raise_on_both_backends(monkeypatch):
     for force_pure in (True, False):
         with pytest.raises(RangeExceeded, match="outside"):
             sweeps.run_verify("forward", 3, force_pure=force_pure)
-
-
-@needs_compiled
-def test_adder_x_far_past_2_to_the_2n_runs_pure(monkeypatch):
-    # An x spanning 2^33 + 1 leaves the adder's borrow field past m, which the
-    # compiled case's uint64 arithmetic wraps: run compiled, it gave 300, 300
-    # and 67 failures at n = 2, 5 and 8, where the pure engine finds none.
-    monkeypatch.setitem(sweeps.UNITS, "adder",
-                        _widened(sweeps.UNITS["adder"], {"x": lambda n: (1 << 33) + 1}))
-    for n in (2, 5, 8, 9):
-        assert _pure_and_compiled("adder", n, status=1, mode="random", samples=300,
-                                  seed=3)["failures"] == 0, n
 
 
 @needs_compiled
@@ -629,38 +622,12 @@ def test_spans_past_64_bits_run_pure(monkeypatch):
         assert report["failures"] == failures, n
 
 
-def _based(spec):
-    """The unit `spec` with every base set to 1 and every span one smaller: no
-    largest value grows, but the shape is another than the unit's own."""
-    def build(params):
-        fields, case = spec.build(params)
-        return tuple(f._replace(base=1, span=f.span - 1) for f in fields), case
-
-    return spec._replace(build=build)
-
-
 @needs_compiled
-@pytest.mark.parametrize("unit", list(sweeps.UNITS))
-def test_specs_of_another_shape_run_pure(monkeypatch, unit):
-    # A kernel runs only specs of its unit's own shape, in the width arm of
-    # n.  Every base 1, which no built-in spec but checkpoint's has, and
-    # checkpoint's spans then no longer powers of two: the kernel declines
-    # the spec in both modes, though its fields fit the kernel's bits, and
-    # the sweeps run pure.
-    monkeypatch.setitem(sweeps.UNITS, unit, _based(sweeps.UNITS[unit]))
-    for n in range(2, _TOP[unit] + 1):
-        assert _kernel_status(unit, n, mode="exhaustive") == 1, (unit, n)
-        _pure_and_compiled(unit, n, status=1, mode="random", samples=300, seed=3)
-
-
-@needs_compiled
-def test_kernel_declines_exhaustive_sweeps_past_2_to_the_63(monkeypatch):
+def test_kernel_declines_exhaustive_sweeps_past_2_to_the_63():
     # An exhaustive case loop indexes fewer than 2^63 cases; past that its
     # spans' product wraps, to 0 for both specs below, and divides by it.
-    # sweeps._kernel_call declines such a sweep before the kernel sees it:
-    # adder n = 31, and normalize at n = 30 with four fields of span 2^30,
-    # which keep its usual shape and fit normalize_max.  The normalize spec
-    # still runs compiled in random mode.
+    # The kernel declines both: adder n = 31, past its xtop, and normalize at
+    # n = 30 with four fields of span 2^30, another spec than its own.
     kernels = sweeps._kernels()
     params = Params(31)
     fields, _ = sweeps.UNITS["adder"].build(params)
@@ -669,7 +636,24 @@ def test_kernel_declines_exhaustive_sweeps_past_2_to_the_63(monkeypatch):
     fields = tuple(f._replace(span=1 << 30) for f in sweeps.UNITS["normalize"].build(params)[0])
     assert math.prod(f.span for f in fields) == 1 << 120
     assert sweeps._kernel_run(kernels, "normalize", params, fields, "exhaustive", 0) is None
-    assert sweeps._kernel_run(kernels, "normalize", params, fields, "random", 0) is not None
+
+
+@needs_compiled
+def test_direct_call_of_a_wrapping_exhaustive_spec_returns_1():
+    # The kernel's own entry check keeps such a spec from its loop, whatever
+    # calls it: sweep_normalize called through ctypes with the normalize spec
+    # above over cases 0..1000 returns 1.  A library that ran the spec died of
+    # SIGFPE (exit 136), so the call runs in a child process.
+    src = str(Path(sweeps.__file__).parents[1])
+    code = f"""import sys
+sys.path.insert(0, {src!r})
+from cxrns import sweeps
+column = sweeps._U64 * 4
+out = (sweeps._I64 * 2)()
+print(sweeps._kernels().sweep_normalize(30, (sweeps._I64 * 5)(), 4, column(*[1 << 30] * 4),
+                                        column(), column(2, 0, 3, 1), 0, 0, 0, 1000, out))"""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (done.returncode, done.stdout.strip()) == (0, "1"), done.stderr
 
 
 @needs_compiled
@@ -724,7 +708,8 @@ _PLANTED_C = """INLINE int planted(const uint64_t *v, int nf)
 def _planted_in_c(source):
     """_kernels.c whose every <unit>_bad also fails where _planted holds."""
     source = source.replace("/* --- case functions", _PLANTED_C + "/* --- case functions", 1)
-    for unit, arity, _, _, _ in _SWEEP_LINES:
+    for unit, spec in sweeps.UNITS.items():
+        arity = len(spec.build(Params(2))[0])
         source, count = re.subn(rf"(INLINE int {unit}_bad\(.*?\n    return )(.*?);\n}}",
                                 rf"\1(\2) | planted(v, {arity});\n}}", source, flags=re.S)
         assert count == 1, unit
@@ -1119,10 +1104,10 @@ def test_roundtrip_exhaustive_n4_reports_match_pure(p):
 
 @needs_compiled
 def test_roundtrip_kernel_declines_a_p_past_its_sum_bound():
-    # roundtrip_max keeps the unsigned New-CRT sum below 2^64, which bounds p
+    # roundtrip_fits keeps the unsigned New-CRT sum below 2^64, which bounds p
     # by itself: at n = 10 up to p = 12, where 100,000 random cases run
-    # exact; at p = 13 the kernel declines, though z's span still fits its
-    # field, and the sweep gives the forced-pure run's report.
+    # exact; at p = 13 the kernel declines its own spec, whose dynamic range
+    # is still below 2^63, and the sweep gives the forced-pure run's report.
     assert _dynamic_range(10, 13) < 1 << 63
     report = sweeps.run_verify("roundtrip", 10, p=12, mode="random", samples=100_000, seed=5)
     assert (report.backend, report.failures) == ("compiled", 0)
