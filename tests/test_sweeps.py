@@ -529,48 +529,47 @@ def _widen(**spans):
 
 _STATE = {"i": lambda n: 1 << n, "r": lambda n: 1 << n,  # every state field at n bits
           "carry": lambda n: 1 << n, "borrow": lambda n: 1 << n}
-# Specs other than each unit's built-in one: fields widened or narrowed, or
-# every base 1.  Each row says whether the pure engine finds failures in it
-# at some width; in the rows that plant faults it does.
+# Specs other than each unit's built-in one, in groups of one test each:
+# fields widened or narrowed, fields one value past the bits the unit's
+# case computes exactly, the adder's x far past them, and every base 1.
+# Each row says whether the pure engine finds failures in it at some width;
+# in the rows that plant faults it does.
 _FOREIGN = {
-    "adder": [(_widen(carry=lambda n: 4), True),
-              (_widen(x=lambda n: (1 << 2 * n + 1) - 1), False),
-              (_widen(x=lambda n: 1 << 2 * n + 1, **_STATE), True),
-              (_widen(x=lambda n: (1 << 2 * n + 1) + 1), False),
-              # borrow past m: the compiled case's uint64 arithmetic wrapped it,
-              # and run compiled gave 300, 300 and 67 failures at n = 2, 5, 8.
-              (_widen(x=lambda n: (1 << 33) + 1), False),
-              (_based, False)],
-    "multiplier": [(_widen(y=lambda n: (1 << 2 * n + 1) - 1), True),
-                   (_widen(x=lambda n: 1 << 2 * n + 1, y=lambda n: 1 << 2 * n + 1), True),
-                   (_widen(y=lambda n: (1 << 2 * n + 1) + 1), True),
-                   (_based, False)],
-    "checkpoint": [(_widen(x=lambda n: (1 << 2 * n + 1) - 1, y=lambda n: (1 << 2 * n + 1) - 1),
-                    True),
-                   (_widen(y=lambda n: 1 << 2 * n + 1), True),
-                   (_based, False)],
-    "forward": [(_based, False)],
-    "roundtrip": [(_based, False)],
-    "compressor": [(_based, False)],
-    "csa": [(_widen(z2=lambda n: 1 << n + 1), False),
-            (_widen(z2=lambda n: 1 << 2 * n, z1=lambda n: 1 << 2 * n + 1,
-                    z0=lambda n: 1 << 2 * n + 1), True),
-            (_widen(z1=lambda n: (1 << 2 * n + 1) + 1, z0=lambda n: (1 << 2 * n + 1) + 1), True),
-            (_based, False)],
-    # _STATE at n = 30: four spans of 2^30, whose product wraps to 0 in 64 bits.
-    "normalize": [(_widen(borrow=lambda n: 4), True), (_widen(**_STATE), True),
-                  (_widen(i=lambda n: 1 << n + 2), False), (_based, False)],
+    "widened": {
+        "adder": [(_widen(carry=lambda n: 4), True),
+                  (_widen(x=lambda n: (1 << 2 * n + 1) - 1), False),
+                  (_widen(x=lambda n: 1 << 2 * n + 1, **_STATE), True)],
+        "multiplier": [(_widen(y=lambda n: (1 << 2 * n + 1) - 1), True),
+                       (_widen(x=lambda n: 1 << 2 * n + 1, y=lambda n: 1 << 2 * n + 1), True)],
+        "checkpoint": [(_widen(x=lambda n: (1 << 2 * n + 1) - 1,
+                               y=lambda n: (1 << 2 * n + 1) - 1), True)],
+        "csa": [(_widen(z2=lambda n: 1 << n + 1), False),
+                (_widen(z2=lambda n: 1 << 2 * n, z1=lambda n: 1 << 2 * n + 1,
+                        z0=lambda n: 1 << 2 * n + 1), True)],
+        # _STATE at n = 30: four spans of 2^30, whose product wraps to 0 in 64 bits.
+        "normalize": [(_widen(borrow=lambda n: 4), True), (_widen(**_STATE), True)],
+    },
+    "past the bits": {
+        "adder": [(_widen(x=lambda n: (1 << 2 * n + 1) + 1), False)],
+        "multiplier": [(_widen(y=lambda n: (1 << 2 * n + 1) + 1), True)],
+        "checkpoint": [(_widen(y=lambda n: 1 << 2 * n + 1), True)],
+        "csa": [(_widen(z1=lambda n: (1 << 2 * n + 1) + 1,
+                        z0=lambda n: (1 << 2 * n + 1) + 1), True)],
+        "normalize": [(_widen(i=lambda n: 1 << n + 2), False)],
+    },
+    # borrow past m: the compiled case's uint64 arithmetic wrapped it, and
+    # run compiled gave 300, 300 and 67 failures at n = 2, 5, 8.
+    "far past": {"adder": [(_widen(x=lambda n: (1 << 33) + 1), False)]},
+    "based": {unit: [(_based, False)] for unit in sweeps.UNITS},
 }
 
 
-@needs_compiled
-@pytest.mark.parametrize("unit", list(_FOREIGN))
-def test_specs_of_another_shape_run_pure(monkeypatch, unit):
+def _foreign_rows_run_pure(monkeypatch, group, unit):
     # A kernel runs only its unit's built-in spec.  At every width up to its
-    # top it declines each spec of _FOREIGN in both modes, and the sweep
-    # gives the forced-pure run's report.
+    # top it declines each row of _FOREIGN[group][unit] in both modes, and
+    # the sweep gives the forced-pure run's report.
     real = sweeps.UNITS[unit]
-    for change, faults in _FOREIGN[unit]:
+    for change, faults in _FOREIGN[group][unit]:
         monkeypatch.setitem(sweeps.UNITS, unit, change(real))
         failures = 0
         for n in range(2, _TOP[unit] + 1):
@@ -578,6 +577,29 @@ def test_specs_of_another_shape_run_pure(monkeypatch, unit):
             failures += _pure_and_compiled(unit, n, status=1, mode="random", samples=300,
                                            seed=3)["failures"]
         assert (failures > 0) == faults, (unit, failures)
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", list(_FOREIGN["widened"]))
+def test_widened_specs_match_pure_reports(monkeypatch, unit):
+    _foreign_rows_run_pure(monkeypatch, "widened", unit)
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", list(_FOREIGN["past the bits"]))
+def test_specs_past_the_kernel_bits_run_pure(monkeypatch, unit):
+    _foreign_rows_run_pure(monkeypatch, "past the bits", unit)
+
+
+@needs_compiled
+def test_adder_x_far_past_2_to_the_2n_runs_pure(monkeypatch):
+    _foreign_rows_run_pure(monkeypatch, "far past", "adder")
+
+
+@needs_compiled
+@pytest.mark.parametrize("unit", list(_FOREIGN["based"]))
+def test_specs_of_another_shape_run_pure(monkeypatch, unit):
+    _foreign_rows_run_pure(monkeypatch, "based", unit)
 
 
 @needs_compiled
