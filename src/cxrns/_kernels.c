@@ -1,24 +1,23 @@
 /* Compiled sweep kernels for cxrns.sweeps (C99, loaded through ctypes).
  *
- * The case space is not written here: sweeps.UNITS gives every field's
- * span, base and random-counter slot, and one case loop turns those into
- * case values.  An exhaustive sweep walks the flat index (first field most
- * significant) in blocks of cases; a random sweep gives field f of case k
- * the value base + draw(seed, 8k + slot) mod span.  Each case function
- * mirrors its unit's Python dataflow and returns whether the case is a
- * mismatch.  A kernel runs exactly its unit's built-in spec, the one its
- * <unit>_spec table writes down, at n up to its SWEEP line's top (roundtrip
- * only where roundtrip_fits), in the width arm of n; it declines any other
- * spec, which then runs on the pure-Python engine.  The case
- * functions have no branches gcc cannot turn into selects, and one rule
- * takes their remainders: a block loop folds, by m = 2^2n + 1 end-around
- * (mod_m) and by 2^4n - 1 in Mersenne chunks (mod_mersenne), and a loop of
- * one case at a time divides.  So a block loop runs several cases per
- * vector instruction.  Exhaustive sweeps always run in such blocks; random
- * sweeps do where the target has AVX2 (its 32-bit vector multiplies build
- * the draw's 64-bit ones), and elsewhere run one case at a time, which is
- * faster there.  Either way a random case draws its fields through
- * draw_at.  Internal helpers are static so the case loop never calls
+ * Each unit's case space is written here once, as its <unit>_spec table: per
+ * field the kind of its span, its base and its random-counter slot, as
+ * sweeps.UNITS builds them.  A kernel runs exactly that spec, at n up to its
+ * SWEEP line's top (roundtrip only where roundtrip_fits), in the width arm of
+ * n, whose case loop reads the table as constants; it declines any other spec,
+ * which then runs on the pure-Python engine.  An exhaustive sweep walks the
+ * flat index (first field most significant) in blocks of cases; a random sweep
+ * gives field f of case k the value base + draw(seed, 8k + slot) mod span.
+ * Each case function mirrors its unit's Python dataflow and returns whether
+ * the case is a mismatch.  The case functions have no branches gcc cannot turn
+ * into selects, and one rule takes their remainders: a block loop folds, by
+ * m = 2^2n + 1 end-around (mod_m) and by 2^4n - 1 in Mersenne chunks
+ * (mod_mersenne), and a loop of one case at a time divides.  So a block loop
+ * runs several cases per vector instruction.  Exhaustive sweeps always run in
+ * such blocks; random sweeps do where the target has AVX2 (its 32-bit vector
+ * multiplies build the draw's 64-bit ones), and elsewhere run one case at a
+ * time, which is faster there.  Either way a random case draws its fields
+ * through draw_at.  Internal helpers are static so the case loop never calls
  * through the PLT; the exported helpers exist for parity tests.
  */
 
@@ -107,22 +106,23 @@ INLINE uint64_t mod_mersenne(uint64_t a, int q, int bits)
     return s - (ones & -(uint64_t)(s >= ones));
 }
 
-/* x y mod c->m for x, y < 2^(2n+1); the multiplier and checkpoint specs'
- * operands are at most 2^2n.  Where random sweeps run in blocks, the width
- * arm of n = 16, where the product passes 64 bits, splits each operand at
- * 2^2n = -1 (mod m) into x = xh 2^2n + xl, xh a bit: x y = xl yl - xh yl
- * - yh xl + xh yh (mod m) needs only 64-bit words and 32-bit vector
- * multiplies.  Past n = 16 xl yl passes 64 bits too.  Elsewhere the u128
- * remainder, exact as well, stays: in a scalar loop the split read 0.91x. */
+/* x y mod c->m for x, y <= 2^2n, as the multiplier and checkpoint specs'
+ * operands are, so the product is below 2^(4n+1).  Where random sweeps run
+ * in blocks, the width arm of n = 16, where the product passes 64 bits,
+ * splits each operand at 2^2n = -1 (mod m) into x = xh 2^2n + xl, xh a bit:
+ * x y = xl yl - xh yl - yh xl + xh yh (mod m) needs only 64-bit words and
+ * 32-bit vector multiplies.  Past n = 16 xl yl passes 64 bits too.
+ * Elsewhere the u128 remainder, exact as well, stays: in a scalar loop the
+ * split read 0.91x. */
 INLINE uint64_t mul_mod_m(const struct ctx *c, uint64_t x, uint64_t y)
 {
     int w = 2 * c->n;
-    if (RANDOM_BLOCKS && 4 * c->n + 2 > 64 && 2 * w <= 64) {
+    if (RANDOM_BLOCKS && 4 * c->n + 1 > 64 && 2 * w <= 64) {
         uint64_t wmask = c->m - 2, xh = x >> w, yh = y >> w, xl = x & wmask, yl = y & wmask;
         return mod_m(c, mod_m(c, xl * yl, 64) + 2 * c->m - (yl & -xh) - (xl & -yh) + (xh & yh),
                      w + 2);
     }
-    return mod_m(c, (u128)x * y, 4 * c->n + 2);
+    return mod_m(c, (u128)x * y, 4 * c->n + 1);
 }
 
 /* --- counter-based PRNG (splitmix64) ------------------------------------- */
@@ -232,7 +232,8 @@ INLINE int adder_bad(const struct ctx *c, const uint64_t *v)
     uint64_t xr, xi, xz, f[4];
     split_fresh(c->n, x, &xr, &xi, &xz);
     add4(c->n, xr, xi, xz, r, borrow, i, carry, f);
-    return phi(c, f) != mod_m(c, x + r + ((i + carry) << c->n) + c->m - borrow, 2 * c->n + 3);
+    /* x <= 2^2n and i + carry <= 2^n keep the sum below 3 2^2n + 2^n */
+    return phi(c, f) != mod_m(c, x + r + ((i + carry) << c->n) + c->m - borrow, 2 * c->n + 2);
 }
 
 INLINE int multiplier_bad(const struct ctx *c, const uint64_t *v)
@@ -317,8 +318,8 @@ INLINE int csa_bad(const struct ctx *c, const uint64_t *v)
 {
     uint64_t z2 = v[0], z1 = v[1], z0 = v[2], wmask = c->m - 2, w;
     uint64_t u = csa22n1(c->n, z2, z1, z0, &w);
-    return mod_m(c, u + w, 2 * c->n + 2)
-           != mod_m(c, (u128)z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 3);
+    /* z2 < 2^n and z1, z0 < 2^2n keep both sums below 2^(2n+2) */
+    return mod_m(c, u + w, 2 * c->n + 2) != mod_m(c, z2 + (z1 ^ wmask) + z0 + 1, 2 * c->n + 2);
 }
 
 INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
@@ -333,190 +334,10 @@ INLINE int normalize_bad(const struct ctx *c, const uint64_t *v)
     return mod_m(c, xr + (1 - zflag) + (xi << c->n), 2 * c->n + 2) != phi(c, f);
 }
 
-/* --- case loop --------------------------------------------------------------- */
-
-/* The shape of a built-in spec, which its SWEEP line gives as the constant
- * usual, so that the case loop's per-field tests fold away: bit f, span f is
- * not a power of two; BASED, a base is nonzero; SPAN_M(f), span f is m =
- * 2^2n + 1; SPAN_DR(f), span f is 2^(n+p) (2^4n - 1), the dynamic range of
- * f_set(n, p). */
-#define BASED (1u << MAX_FIELDS)
-#define SPAN_M(f) (1u << (MAX_FIELDS + 1 + (f)))
-#define SPAN_DR(f) (1u << (2 * MAX_FIELDS + 1 + (f)))
-
-/* Whether exhaustive case u of the current run is a mismatch: field f from g
- * on is v[f] + (u >> sh[f] & mk[f]), each field before g holds v[f]. */
-INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
-                   int nf, int g, const uint64_t *v, const uint64_t *sh, const uint64_t *mk,
-                   uint64_t u)
-{
-    uint64_t w[MAX_FIELDS];
-    for (int f = 0; f < nf; f++)
-        w[f] = f < g ? v[f] : v[f] + (u >> sh[f] & mk[f]);
-    return bad(c, w);
-}
-
-/* d mod span, for a draw d and the span of field f, of the kind the shape
- * says.  Span m goes through mod_m, which in a block loop folds from n = 11
- * on.  There span 2^a (2^4n - 1), a = n + p, keeps d's low a bits and
- * folds the rest, below 2^(64 - n), by 2^4n - 1: 64 - n, unlike 64 - a, is
- * a constant in a width arm, so the chunk loop unrolls (with 64 - a,
- * forward n = 12 random read 0.19x).  Other remainders divide. */
-INLINE uint64_t draw_mod(const struct ctx *c, unsigned shape, int f, uint64_t d, uint64_t span)
-{
-    int a = c->n + c->p, q = 4 * c->n;
-    if (!(shape >> f & 1))
-        return d & (span - 1);
-    if (shape & SPAN_M(f))
-        return mod_m(c, d, 64);
-    if (shape & SPAN_DR(f) && c->lanes)
-        return (d & ONES(a)) | mod_mersenne(d >> a, q, 64 - c->n) << a;
-    return d % span;
-}
-
-/* Whether random case k of the current run is a mismatch: field f takes the
- * value b[f] + draw(seed, SLOTS k + slot[f]) mod sp[f], the draw keyed by
- * key[f]. */
-INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
-                   int nf, unsigned shape, const uint64_t *key, const uint64_t *sp,
-                   const uint64_t *b, uint64_t k)
-{
-    uint64_t w[MAX_FIELDS];
-    for (int f = 0; f < nf; f++)
-        w[f] = b[f] + draw_mod(c, shape, f, mix64(key[f] + k * (SLOTS * GOLDEN)), sp[f]);
-    return bad(c, w);
-}
-
-/* Runs cases [lo, hi); out gets (failures, first failing index or -1).  The
- * field constants are copied to locals so that, inlined with a constant nf
- * and shape, they live in registers and the per-field tests fold away.
- *
- * An exhaustive sweep splits the fields at g, the last whose span is not a
- * power of two (or 0): fields g.. decode from one counter u by shift and
- * mask, and the fields before g step as an odometer each time u wraps.  It
- * runs blocks of BLOCK cases within one run of u: one counted loop, which
- * vectorises, sums the block's mismatches, and only a block that holds the
- * sweep's first mismatch is scanned again, with the same arithmetic, for
- * its index.  The spans' product is below 2^63 (xtop keeps it so).
- *
- * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
- * lo the same way, each of BLOCK counted steps that mask off the cases past
- * hi: a fixed trip count leaves gcc no vector epilogue to emit per loop.
- * Elsewhere, where a 64-bit vector multiply costs more than it saves, it
- * runs one case at a time: forcing the block loop on such a target read
- * 0.76-0.95x on five random units.  Both loops draw each case through
- * draw_at; the block loop folds its remainders, the other divides. */
-INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
-                  int nf, unsigned shape, const uint64_t *span, const uint64_t *base,
-                  const uint64_t *slot, int random, uint64_t seed, uint64_t lo, uint64_t hi,
-                  int64_t *out)
-{
-    uint64_t v[MAX_FIELDS], sp[MAX_FIELDS], b[MAX_FIELDS], key[MAX_FIELDS], failures = 0;
-    int64_t first = -1;
-    int f;
-    for (f = 0; f < nf; f++) {
-        sp[f] = span[f];
-        b[f] = shape & BASED ? base[f] : 0;
-        key[f] = seed + (slot[f] + 1) * GOLDEN;  /* draw(seed, SLOTS k + slot) at k = 0 */
-    }
-    /* Where random sweeps run in blocks, the hint lays them out after the
-     * exhaustive loops.  In line, they move the exhaustive loops' register
-     * allocation: without the hint, multiplier n = 5 exhaustive read 0.84x
-     * in an in-process A/B (0 of 11 rounds won).  The scalar loop of other
-     * targets read up to 0.88x with it. */
-    if (RANDOM_BLOCKS ? __builtin_expect(random, 0) : random) {
-#if RANDOM_BLOCKS
-        struct ctx cl = *c;
-        cl.lanes = 1;
-        for (uint64_t k = lo; k < hi; k += BLOCK) {
-            unsigned mismatches = 0, j;
-            for (j = 0; j < BLOCK; j++)
-                mismatches += (unsigned)(k + j < hi)
-                              & (unsigned)draw_at(&cl, bad, nf, shape, key, sp, b, k + j);
-            if (mismatches && failures == 0) {
-                for (j = 0; !draw_at(&cl, bad, nf, shape, key, sp, b, k + j); j++)
-                    ;
-                first = (int64_t)(k + j);
-            }
-            failures += mismatches;
-        }
-#else
-        for (uint64_t k = lo; k < hi; k++)
-            if (draw_at(c, bad, nf, shape, key, sp, b, k) && failures++ == 0)
-                first = (int64_t)k;
-#endif
-    } else {
-        uint64_t sh[MAX_FIELDS], mk[MAX_FIELDS], wrap = 1, idx, u, j;
-        struct ctx cl = *c;
-        int g = nf - 1;
-        cl.lanes = 1;
-        while (g > 0 && !(shape >> g & 1))
-            g--;
-        for (f = nf - 1; f >= g; f--) {
-            sh[f] = (uint64_t)__builtin_ctzll(wrap);
-            mk[f] = f > g ? sp[f] - 1 : ~(uint64_t)0;
-            v[f] = b[f];
-            wrap *= sp[f];
-        }
-        u = lo % wrap;
-        for (idx = lo / wrap, f = g - 1; f >= 0; f--) {
-            v[f] = b[f] + idx % sp[f];
-            idx /= sp[f];
-        }
-        for (uint64_t k = lo, len; k < hi; k += len) {
-            unsigned mismatches = 0;
-            len = hi - k < wrap - u ? hi - k : wrap - u;
-            len = len < BLOCK ? len : BLOCK;
-            for (j = 0; j < len; j++)
-                mismatches += (unsigned)case_at(&cl, bad, nf, g, v, sh, mk, u + j);
-            if (mismatches && failures == 0) {
-                for (j = 0; !case_at(&cl, bad, nf, g, v, sh, mk, u + j); j++)
-                    ;
-                first = (int64_t)(k + j);
-            }
-            failures += mismatches;
-            if ((u += len) == wrap) {
-                u = 0;
-                for (f = g - 1; f >= 0 && ++v[f] == b[f] + sp[f]; f--)
-                    v[f] = b[f];
-            }
-        }
-    }
-    out[0] = (int64_t)failures;
-    out[1] = first;
-}
-
-/* One arm of the width switch: the case loop with n, and so every modulus,
- * mask and shift derived from it, a compile-time constant, which turns each
- * % by a modulus into a multiply and a shift.  An arm past the kernel's
- * largest width `top` is never reached and is dropped before inlining; one
- * past `xtop` runs only random sweeps, so its exhaustive loop is dropped and
- * an exhaustive sweep there is declined. */
-#define ARM(k, unit, arity, usual, top, xtop)                                       \
-    case k:                                                                         \
-        if (k <= (top) && (random || k <= (xtop))) {                                \
-            struct ctx ck = ctx_make(k, args);                                      \
-            run_cases(&ck, unit##_bad, arity, usual, span, base, slot,              \
-                      k <= (xtop) ? random : 1, seed, lo, hi, out);                 \
-            return 0;                                                               \
-        }                                                                           \
-        break;
-#define ARMS(...) \
-    ARM(2, __VA_ARGS__) ARM(3, __VA_ARGS__) ARM(4, __VA_ARGS__) ARM(5, __VA_ARGS__) \
-    ARM(6, __VA_ARGS__) ARM(7, __VA_ARGS__) ARM(8, __VA_ARGS__) ARM(9, __VA_ARGS__) \
-    ARM(10, __VA_ARGS__) ARM(11, __VA_ARGS__) ARM(12, __VA_ARGS__)                  \
-    ARM(13, __VA_ARGS__) ARM(14, __VA_ARGS__) ARM(15, __VA_ARGS__)                  \
-    ARM(16, __VA_ARGS__) ARM(17, __VA_ARGS__) ARM(18, __VA_ARGS__)                  \
-    ARM(19, __VA_ARGS__) ARM(20, __VA_ARGS__) ARM(21, __VA_ARGS__)                  \
-    ARM(22, __VA_ARGS__) ARM(23, __VA_ARGS__) ARM(24, __VA_ARGS__)                  \
-    ARM(25, __VA_ARGS__) ARM(26, __VA_ARGS__) ARM(27, __VA_ARGS__)                  \
-    ARM(28, __VA_ARGS__) ARM(29, __VA_ARGS__) ARM(30, __VA_ARGS__)                  \
-    ARM(31, __VA_ARGS__)
-
 /* --- built-in specs --------------------------------------------------------- */
 
 /* Each unit's spec as sweeps.UNITS builds it: per field, most significant
- * first, its span (2, 2^n, 2^2n, m or the dynamic range DR), base and
+ * first, its span kind (2, 2^n, 2^2n, m or the dynamic range DR), base and
  * random-counter slot. */
 enum { S_2, S_N, S_2N, S_M, S_DR };
 struct field { unsigned char span, base, slot; };
@@ -535,19 +356,197 @@ static const struct field normalize_spec[] = {  /* i, r, carry, borrow */
 #define ARITY(unit) (int)(sizeof unit##_spec / sizeof *unit##_spec)
 #define P_IS_0(n, p) ((p) == 0)  /* the bound on p of every unit but roundtrip */
 
+/* The span of kind k at width n and exponent p: 2^(n+p) (2^4n - 1) for DR,
+ * the dynamic range of f_set(n, p).  Only m and DR are not powers of two. */
+INLINE uint64_t span_of(int k, int n, int p)
+{
+    return k == S_2 ? 2 : k == S_N ? (uint64_t)1 << n
+           : k == S_DR ? ONES(4 * n) << (n + p) : ((uint64_t)1 << 2 * n) + (k == S_M);
+}
+
 /* Whether span, base and slot are those of spec at width n and exponent p. */
 static int spec_is(const struct field *spec, int nf, int n, int p, const uint64_t *span,
                    const uint64_t *base, const uint64_t *slot)
 {
-    for (int f = 0; f < nf; f++) {
-        int k = spec[f].span;
-        uint64_t want = k == S_2 ? 2 : k == S_N ? (uint64_t)1 << n
-                        : k == S_DR ? ONES(4 * n) << (n + p) : ((uint64_t)1 << 2 * n) + (k == S_M);
-        if (span[f] != want || base[f] != spec[f].base || slot[f] != spec[f].slot)
+    for (int f = 0; f < nf; f++)
+        if (span[f] != span_of(spec[f].span, n, p) || base[f] != spec[f].base
+            || slot[f] != spec[f].slot)
             return 0;
-    }
     return 1;
 }
+
+/* --- case loop --------------------------------------------------------------- */
+
+/* Whether exhaustive case u of the current run is a mismatch: field f from g
+ * on is v[f] + (u >> sh[f] & mk[f]), each field before g holds v[f]. */
+INLINE int case_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
+                   int nf, int g, const uint64_t *v, const uint64_t *sh, const uint64_t *mk,
+                   uint64_t u)
+{
+    uint64_t w[MAX_FIELDS];
+    for (int f = 0; f < nf; f++)
+        w[f] = f < g ? v[f] : v[f] + (u >> sh[f] & mk[f]);
+    return bad(c, w);
+}
+
+/* d mod the span of kind k, for a draw d.  Span m goes through mod_m, which
+ * in a block loop folds from n = 11 on.  There span 2^a (2^4n - 1), a = n +
+ * p, keeps d's low a bits and folds the rest, below 2^(64 - n), by 2^4n - 1:
+ * 64 - n, unlike 64 - a, is a constant in a width arm, so the chunk loop
+ * unrolls (with 64 - a, forward n = 12 random read 0.19x).  A power of two
+ * masks; other remainders divide. */
+INLINE uint64_t draw_mod(const struct ctx *c, int k, uint64_t d)
+{
+    int a = c->n + c->p, q = 4 * c->n;
+    uint64_t span = span_of(k, c->n, c->p);
+    if (k == S_M)
+        return mod_m(c, d, 64);
+    if (k == S_DR)
+        return c->lanes ? (d & ONES(a)) | mod_mersenne(d >> a, q, 64 - c->n) << a : d % span;
+    return d & (span - 1);
+}
+
+/* Whether random case k of the current run is a mismatch: field f takes the
+ * value base + draw(seed, SLOTS k + slot) mod span of its spec entry, the
+ * draw keyed by key[f]. */
+INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
+                   const struct field *spec, int nf, const uint64_t *key, uint64_t k)
+{
+    uint64_t w[MAX_FIELDS];
+#pragma GCC unroll 8
+    for (int f = 0; f < nf; f++)
+        w[f] = spec[f].base + draw_mod(c, spec[f].span, mix64(key[f] + k * (SLOTS * GOLDEN)));
+    return bad(c, w);
+}
+
+/* Runs cases [lo, hi) of spec, a table of nf fields; out gets (failures,
+ * first failing index or -1).  In a width arm the table is static const and
+ * nf a constant, so every read of spec folds, and with it each field's span,
+ * base and kind tests and the exhaustive decode's shifts and masks.  gcc
+ * folds them before it vectorises only in a field loop it has unrolled, so
+ * the loops that read kinds say #pragma GCC unroll 8 (MAX_FIELDS): without
+ * it, adder n = 4 exhaustive read 0.42x and compressor n = 4 0.35x, their
+ * block loops no longer vectorised.
+ *
+ * An exhaustive sweep splits the fields at g, the last whose span is m or
+ * DR (or 0): fields g.. decode from one counter u by shift and mask, and the
+ * fields before g step as an odometer each time u wraps.  It runs blocks of
+ * BLOCK cases within one run of u: one counted loop, which vectorises, sums
+ * the block's mismatches, and only a block that holds the sweep's first
+ * mismatch is scanned again, with the same arithmetic, for its index.  The
+ * spans' product is below 2^63 (xtop keeps it so).
+ *
+ * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
+ * lo the same way, each of BLOCK counted steps that mask off the cases past
+ * hi: a fixed trip count leaves gcc no vector epilogue to emit per loop.
+ * Elsewhere, where a 64-bit vector multiply costs more than it saves, it
+ * runs one case at a time: forcing the block loop on such a target read
+ * 0.76-0.95x on five random units.  Both loops draw each case through
+ * draw_at; the block loop folds its remainders, the other divides. */
+INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const uint64_t *),
+                      const struct field *spec, int nf, int random, uint64_t seed, uint64_t lo,
+                      uint64_t hi, int64_t *out)
+{
+    uint64_t v[MAX_FIELDS], key[MAX_FIELDS], failures = 0;
+    int64_t first = -1;
+    int f;
+    struct ctx cl = *c;  /* for the block loops, which fold */
+    cl.lanes = 1;
+    for (f = 0; f < nf; f++)
+        key[f] = seed + (spec[f].slot + 1u) * GOLDEN;  /* draw(seed, SLOTS k + slot) at k = 0 */
+    /* Where random sweeps run in blocks, the hint lays them out after the
+     * exhaustive loops.  In line, they move the exhaustive loops' register
+     * allocation: without the hint, multiplier n = 5 exhaustive read 0.84x
+     * in an in-process A/B (0 of 11 rounds won).  The scalar loop of other
+     * targets read up to 0.88x with it. */
+    if (RANDOM_BLOCKS ? __builtin_expect(random, 0) : random) {
+#if RANDOM_BLOCKS
+        for (uint64_t k = lo; k < hi; k += BLOCK) {
+            unsigned mismatches = 0, j;
+            for (j = 0; j < BLOCK; j++)
+                mismatches += (unsigned)(k + j < hi)
+                              & (unsigned)draw_at(&cl, bad, spec, nf, key, k + j);
+            if (mismatches && failures == 0) {
+                for (j = 0; !draw_at(&cl, bad, spec, nf, key, k + j); j++)
+                    ;
+                first = (int64_t)(k + j);
+            }
+            failures += mismatches;
+        }
+#else
+        for (uint64_t k = lo; k < hi; k++)
+            if (draw_at(c, bad, spec, nf, key, k) && failures++ == 0)
+                first = (int64_t)k;
+#endif
+    } else {
+        uint64_t sh[MAX_FIELDS], mk[MAX_FIELDS], sp[MAX_FIELDS], wrap = 1, idx, u, j;
+        int g = 0;
+#pragma GCC unroll 8
+        for (f = 0; f < nf; f++) {
+            sp[f] = span_of(spec[f].span, c->n, c->p);
+            if (spec[f].span == S_M || spec[f].span == S_DR)
+                g = f;
+        }
+        for (f = nf - 1; f >= g; f--) {
+            sh[f] = (uint64_t)__builtin_ctzll(wrap);
+            mk[f] = f > g ? sp[f] - 1 : ~(uint64_t)0;
+            v[f] = spec[f].base;
+            wrap *= sp[f];
+        }
+        u = lo % wrap;
+        for (idx = lo / wrap, f = g - 1; f >= 0; f--) {
+            v[f] = spec[f].base + idx % sp[f];
+            idx /= sp[f];
+        }
+        for (uint64_t k = lo, len; k < hi; k += len) {
+            unsigned mismatches = 0;
+            len = hi - k < wrap - u ? hi - k : wrap - u;
+            len = len < BLOCK ? len : BLOCK;
+            for (j = 0; j < len; j++)
+                mismatches += (unsigned)case_at(&cl, bad, nf, g, v, sh, mk, u + j);
+            if (mismatches && failures == 0) {
+                for (j = 0; !case_at(&cl, bad, nf, g, v, sh, mk, u + j); j++)
+                    ;
+                first = (int64_t)(k + j);
+            }
+            failures += mismatches;
+            if ((u += len) == wrap) {
+                u = 0;
+                for (f = g - 1; f >= 0 && ++v[f] == spec[f].base + sp[f]; f--)
+                    v[f] = spec[f].base;
+            }
+        }
+    }
+    out[0] = (int64_t)failures;
+    out[1] = first;
+}
+
+/* One arm of the width switch: the case loop with n, and so every modulus,
+ * mask and shift derived from it, a compile-time constant, which turns each
+ * % by a modulus into a multiply and a shift.  An arm past the kernel's
+ * largest width `top` is never reached and is dropped before inlining; one
+ * past `xtop` runs only random sweeps, so its exhaustive loop is dropped and
+ * an exhaustive sweep there is declined. */
+#define ARM(k, unit, top, xtop)                                                     \
+    case k:                                                                         \
+        if (k <= (top) && (random || k <= (xtop))) {                                \
+            struct ctx ck = ctx_make(k, args);                                      \
+            run_cases(&ck, unit##_bad, unit##_spec, ARITY(unit),                    \
+                      k <= (xtop) ? random : 1, seed, lo, hi, out);                 \
+            return 0;                                                               \
+        }                                                                           \
+        break;
+#define ARMS(...) \
+    ARM(2, __VA_ARGS__) ARM(3, __VA_ARGS__) ARM(4, __VA_ARGS__) ARM(5, __VA_ARGS__) \
+    ARM(6, __VA_ARGS__) ARM(7, __VA_ARGS__) ARM(8, __VA_ARGS__) ARM(9, __VA_ARGS__) \
+    ARM(10, __VA_ARGS__) ARM(11, __VA_ARGS__) ARM(12, __VA_ARGS__)                  \
+    ARM(13, __VA_ARGS__) ARM(14, __VA_ARGS__) ARM(15, __VA_ARGS__)                  \
+    ARM(16, __VA_ARGS__) ARM(17, __VA_ARGS__) ARM(18, __VA_ARGS__)                  \
+    ARM(19, __VA_ARGS__) ARM(20, __VA_ARGS__) ARM(21, __VA_ARGS__)                  \
+    ARM(22, __VA_ARGS__) ARM(23, __VA_ARGS__) ARM(24, __VA_ARGS__)                  \
+    ARM(25, __VA_ARGS__) ARM(26, __VA_ARGS__) ARM(27, __VA_ARGS__)                  \
+    ARM(28, __VA_ARGS__) ARM(29, __VA_ARGS__) ARM(30, __VA_ARGS__)                  \
+    ARM(31, __VA_ARGS__)
 
 /* sweep_<unit>: returns 1, running nothing, when it declines the spec,
  * which is any but <unit>_spec at a width n of 2..top and an exponent p =
@@ -555,7 +554,7 @@ static int spec_is(const struct field *spec, int nf, int n, int p, const uint64_
  * sweep runs compiled.  A spec it runs goes to the width arm of n (for an
  * exhaustive sweep, up to xtop: the largest n, at most top, whose spec has
  * fewer than 2^63 cases, the most its loop indexes). */
-#define SWEEP(unit, usual, top, xtop, fits)                                         \
+#define SWEEP(unit, top, xtop, fits)                                                \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
@@ -564,19 +563,19 @@ static int spec_is(const struct field *spec, int nf, int n, int p, const uint64_
             || !spec_is(unit##_spec, nf, n, (int)args[0], span, base, slot))        \
             return 1;                                                               \
         switch (n) {                                                                \
-            ARMS(unit, ARITY(unit), usual, top, xtop)                               \
+            ARMS(unit, top, xtop)                                                   \
         }                                                                           \
         return 1;                                                                   \
     }
 
-SWEEP(adder, 1u | SPAN_M(0), 31, 15, P_IS_0)                /* x spans 2^2n + 1 */
-SWEEP(multiplier, 3u | SPAN_M(0) | SPAN_M(1), 31, 15, P_IS_0)  /* x, y span 2^2n + 1 */
-SWEEP(checkpoint, BASED, 30, 15, P_IS_0)  /* x, y from 1; top: i_sum 2^n fits in 63 bits */
-SWEEP(forward, 1u | SPAN_DR(0), 12, 12, P_IS_0)  /* top: 5n-bit inputs in 63 bits */
-SWEEP(roundtrip, 1u | SPAN_DR(0), 10, 10, roundtrip_fits)  /* top: roundtrip_fits at p = 0 */
-SWEEP(compressor, 0u, 31, 15, P_IS_0)
-SWEEP(csa, 0u, 31, 12, P_IS_0)
-SWEEP(normalize, 0u, 31, 30, P_IS_0)
+SWEEP(adder, 31, 15, P_IS_0)
+SWEEP(multiplier, 31, 15, P_IS_0)
+SWEEP(checkpoint, 30, 15, P_IS_0)  /* top: i_sum 2^n fits in 63 bits */
+SWEEP(forward, 12, 12, P_IS_0)     /* top: 5n-bit inputs in 63 bits */
+SWEEP(roundtrip, 10, 10, roundtrip_fits)  /* top: roundtrip_fits at p = 0 */
+SWEEP(compressor, 31, 15, P_IS_0)
+SWEEP(csa, 31, 12, P_IS_0)
+SWEEP(normalize, 31, 30, P_IS_0)
 
 /* --- exported helpers (parity checks against the Python dataflow) ----------- */
 

@@ -61,9 +61,11 @@ class Unit(NamedTuple):
     and a case function taking their values and returning (got, want):
     got from the device under test, want from plain modular arithmetic.
     The ``sweep_<unit>`` export of ``_kernels.c`` runs exactly these
-    fields, which its ``<unit>_spec`` table repeats, through its own case
-    function; it declines (see ``_kernel_run``) a width past its top and any
-    other fields, and such a sweep runs on the pure engine.
+    fields through its own case function.  Its ``<unit>_spec`` table, the
+    kernel's one copy of them (per field a span kind, base and slot), both
+    checks a call's fields and is what its case loop is compiled from; it
+    declines (see ``_kernel_run``) a width past its top and any other
+    fields, and such a sweep runs on the pure engine.
     ``kernel_args(n, p)`` gives the kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """

@@ -367,10 +367,10 @@ def test_every_unit_has_a_kernel():
 
 with open(sweeps._KERNELS_C) as _f:
     _SOURCE = _f.read()
-# SWEEP(unit, usual, top, xtop, fits): one line per unit, in UNITS order.
-_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), ([^,]*), (\d+), (\d+), (\w+)\)", _SOURCE, re.M)
-_TOP = {unit: int(top) for unit, _, top, _, _ in _SWEEP_LINES}
-_XTOP = {unit: int(xtop) for unit, _, _, xtop, _ in _SWEEP_LINES}
+# SWEEP(unit, top, xtop, fits): one line per unit, in UNITS order.
+_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), (\d+), (\w+)\)", _SOURCE, re.M)
+_TOP = {unit: int(top) for unit, top, _, _ in _SWEEP_LINES}
+_XTOP = {unit: int(xtop) for unit, _, xtop, _ in _SWEEP_LINES}
 
 
 def _exhaustive_cases(unit, n, p=0):
@@ -384,12 +384,12 @@ def _dynamic_range(n, p):
 
 
 def test_sweep_lines_declare_the_spec_shape():
-    # An exhaustive sweep past a SWEEP(unit, usual, top, xtop, fits) line's
+    # An exhaustive sweep past a SWEEP(unit, top, xtop, fits) line's
     # xtop is declined, as is a width past top.  Width arms past top are dead
     # code, and so are exhaustive loops of arms whose case space is too large
     # to sweep.  (Which fields a kernel runs: the test below.)
-    assert [unit for unit, _, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
-    for unit, _, top, xtop, _ in _SWEEP_LINES:
+    assert [unit for unit, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
+    for unit, top, xtop, _ in _SWEEP_LINES:
         assert int(xtop) == max([n for n in range(2, int(top) + 1)
                                  if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)

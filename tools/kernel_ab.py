@@ -4,8 +4,8 @@ Builds ``src/cxrns/_kernels.c`` at a git revision (the base, by default
 HEAD) and from the working tree (the change), each as ``cxrns.sweeps``
 builds it for its first sweep (same compiler, flags and export checks),
 loads both libraries into this one process and times the benchmark's ten
-sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) and three random
-sweeps below n = 8 (NARROW) on each.  Every
+sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) and four random
+sweeps no workload runs (NARROW) on each.  Every
 round times each sweep once on each library, the best of three calls,
 alternating which library goes first.  One process and alternation keep
 host drift and code placement of the Python side out of the comparison;
@@ -55,9 +55,10 @@ RANDOM_CASES = 2_000_000  # per call, unless --cases says otherwise
 CALLS = 3  # a timed sample is the best of this many calls
 SEED = 1  # the random sweeps take the benchmark's seeds for --seed 1
 # Random sweeps that no benchmark workload runs: below n = 8 the draws by the
-# dynamic range 2^(n+p) (2^4n - 1) make more than two Mersenne chunks.
+# dynamic range 2^(n+p) (2^4n - 1) make more than two Mersenne chunks, and at
+# n = 31 csa's check sum takes all 64 bits of mod_m's widest folded remainder.
 NARROW = (Sweep("roundtrip", 5, "random"), Sweep("roundtrip", 7, "random"),
-          Sweep("forward", 5, "random"))
+          Sweep("forward", 5, "random"), Sweep("csa", 31, "random"))
 
 
 def build(rev: str | None, cache: Path):
