@@ -2,8 +2,8 @@
  *
  * Each unit's case space is written here once, as its <unit>_spec table: per
  * field the kind of its span, its base and its random-counter slot, as
- * sweeps.UNITS builds them.  A kernel runs exactly that spec, at n up to its
- * SWEEP line's top (roundtrip only where roundtrip_fits), in the width arm of
+ * sweeps.UNITS builds them.  A kernel runs exactly that spec where fits(n, p)
+ * of its SWEEP line holds, exhaustively below 2^63 cases, in the width arm of
  * n, whose case loop reads the table as constants; it declines any other spec,
  * which then runs on the pure-Python engine.  An exhaustive sweep walks the
  * flat index (first field most significant) in blocks of cases; a random sweep
@@ -355,6 +355,8 @@ static const struct field normalize_spec[] = {  /* i, r, carry, borrow */
     {S_N, 0, 2}, {S_N, 0, 0}, {S_2, 0, 3}, {S_2, 0, 1}};
 #define ARITY(unit) (int)(sizeof unit##_spec / sizeof *unit##_spec)
 #define P_IS_0(n, p) ((p) == 0)  /* the bound on p of every unit but roundtrip */
+#define FORWARD_FITS(n, p) ((p) == 0 && 5 * (n) < 64)
+#define CHECKPOINT_FITS(n, p) ((p) == 0 && (n) <= 30)
 
 /* The span of kind k at width n and exponent p: 2^(n+p) (2^4n - 1) for DR,
  * the dynamic range of f_set(n, p).  Only m and DR are not powers of two. */
@@ -362,6 +364,17 @@ INLINE uint64_t span_of(int k, int n, int p)
 {
     return k == S_2 ? 2 : k == S_N ? (uint64_t)1 << n
            : k == S_DR ? ONES(4 * n) << (n + p) : ((uint64_t)1 << 2 * n) + (k == S_M);
+}
+
+/* Whether spec at n, p = 0 has fewer than 2^63 cases, the most run_cases
+ * indexes (roundtrip_fits keeps roundtrip's so at any p): a saturating product,
+ * written out for six fields, as gcc would fold a loop only in its late passes. */
+#define TIMES(f) cases *= cases >> 63 || (f) >= nf ? 1 : span_of(spec[(f) % nf].span, n, 0)
+INLINE int indexable(const struct field *spec, int nf, int n)
+{
+    u128 cases = 1;
+    TIMES(0), TIMES(1), TIMES(2), TIMES(3), TIMES(4), TIMES(5);
+    return !(cases >> 63);
 }
 
 /* Whether span, base and slot are those of spec at width n and exponent p. */
@@ -434,7 +447,7 @@ INLINE int draw_at(const struct ctx *c, int (*bad)(const struct ctx *, const uin
  * BLOCK cases within one run of u: one counted loop, which vectorises, sums
  * the block's mismatches, and only a block that holds the sweep's first
  * mismatch is scanned again, with the same arithmetic, for its index.  The
- * spans' product is below 2^63 (xtop keeps it so).
+ * spans' product is below 2^63 (ARM keeps it so: see indexable).
  *
  * Where the target has AVX2, a random sweep runs blocks of BLOCK cases from
  * lo the same way, each of BLOCK counted steps that mask off the cases past
@@ -523,16 +536,16 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
 
 /* One arm of the width switch: the case loop with n, and so every modulus,
  * mask and shift derived from it, a compile-time constant, which turns each
- * % by a modulus into a multiply and a shift.  An arm past the kernel's
- * largest width `top` is never reached and is dropped before inlining; one
- * past `xtop` runs only random sweeps, so its exhaustive loop is dropped and
- * an exhaustive sweep there is declined. */
-#define ARM(k, unit, top, xtop)                                                     \
+ * % by a modulus into a multiply and a shift.  An arm where fits(k, 0) fails
+ * is dropped before inlining; one whose spec is not indexable runs only random
+ * sweeps (its exhaustive loop is dropped) and declines exhaustive ones. */
+#define ARM(k, unit, fits)                                                          \
     case k:                                                                         \
-        if (k <= (top) && (random || k <= (xtop))) {                                \
+        if (fits(k, 0) && (random || indexable(unit##_spec, ARITY(unit), k))) {     \
             struct ctx ck = ctx_make(k, args);                                      \
             run_cases(&ck, unit##_bad, unit##_spec, ARITY(unit),                    \
-                      k <= (xtop) ? random : 1, seed, lo, hi, out);                 \
+                      indexable(unit##_spec, ARITY(unit), k) ? random : 1, seed,    \
+                      lo, hi, out);                                                 \
             return 0;                                                               \
         }                                                                           \
         break;
@@ -548,34 +561,33 @@ INLINE void run_cases(const struct ctx *c, int (*bad)(const struct ctx *, const 
     ARM(28, __VA_ARGS__) ARM(29, __VA_ARGS__) ARM(30, __VA_ARGS__)                  \
     ARM(31, __VA_ARGS__)
 
-/* sweep_<unit>: returns 1, running nothing, when it declines the spec,
- * which is any but <unit>_spec at a width n of 2..top and an exponent p =
- * args[0] that fits(n, p) admits.  That answer alone decides whether a
- * sweep runs compiled.  A spec it runs goes to the width arm of n (for an
- * exhaustive sweep, up to xtop: the largest n, at most top, whose spec has
- * fewer than 2^63 cases, the most its loop indexes). */
-#define SWEEP(unit, top, xtop, fits)                                                \
+/* sweep_<unit>: returns 1, running nothing, when it declines the spec, which
+ * is any but <unit>_spec at n = 2..31 and p = args[0] where fits(n, p), the
+ * one statement of where the kernel is exact, holds, and an exhaustive one
+ * past 2^63 - 1 cases.  That answer alone decides whether a sweep runs
+ * compiled.  A spec it runs goes to the width arm of n. */
+#define SWEEP(unit, fits)                                                           \
     int sweep_##unit(int n, const int64_t *args, int nf, const uint64_t *span,      \
                      const uint64_t *base, const uint64_t *slot, int random,        \
                      uint64_t seed, uint64_t lo, uint64_t hi, int64_t *out)         \
     {                                                                               \
-        if (n < 2 || n > (top) || !fits(n, args[0]) || nf != ARITY(unit)           \
+        if (n < 2 || n > 31 || !fits(n, args[0]) || nf != ARITY(unit)              \
             || !spec_is(unit##_spec, nf, n, (int)args[0], span, base, slot))        \
             return 1;                                                               \
         switch (n) {                                                                \
-            ARMS(unit, top, xtop)                                                   \
+            ARMS(unit, fits)                                                        \
         }                                                                           \
         return 1;                                                                   \
     }
 
-SWEEP(adder, 31, 15, P_IS_0)
-SWEEP(multiplier, 31, 15, P_IS_0)
-SWEEP(checkpoint, 30, 15, P_IS_0)  /* top: i_sum 2^n fits in 63 bits */
-SWEEP(forward, 12, 12, P_IS_0)     /* top: 5n-bit inputs in 63 bits */
-SWEEP(roundtrip, 10, 10, roundtrip_fits)  /* top: roundtrip_fits at p = 0 */
-SWEEP(compressor, 31, 15, P_IS_0)
-SWEEP(csa, 31, 12, P_IS_0)
-SWEEP(normalize, 31, 30, P_IS_0)
+SWEEP(adder, P_IS_0)
+SWEEP(multiplier, P_IS_0)
+SWEEP(checkpoint, CHECKPOINT_FITS)  /* i_sum 2^n fits in 63 bits */
+SWEEP(forward, FORWARD_FITS)        /* 5n-bit inputs fit in 63 bits */
+SWEEP(roundtrip, roundtrip_fits)
+SWEEP(compressor, P_IS_0)
+SWEEP(csa, P_IS_0)
+SWEEP(normalize, P_IS_0)
 
 /* --- exported helpers (parity checks against the Python dataflow) ----------- */
 
@@ -593,9 +605,4 @@ void add_fields(int n, uint64_t xr, uint64_t xi, uint64_t xz, uint64_t yr, uint6
 void mul_fields(int n, uint64_t xr, uint64_t xi, uint64_t yr, uint64_t yi, uint64_t *out)
 {
     mul4(n, xr, xi, yr, yi, out);
-}
-
-uint64_t forward_value(int n, uint64_t z)
-{
-    return forward_dim1(n, ((uint64_t)1 << (2 * n)) + 1, z);
 }

@@ -64,8 +64,8 @@ class Unit(NamedTuple):
     fields through its own case function.  Its ``<unit>_spec`` table, the
     kernel's one copy of them (per field a span kind, base and slot), both
     checks a call's fields and is what its case loop is compiled from; it
-    declines (see ``_kernel_run``) a width past its top and any other
-    fields, and such a sweep runs on the pure engine.
+    declines (see ``_kernel_run``) a width or p its ``fits`` predicate
+    refuses and any other fields, and such a sweep runs on the pure engine.
     ``kernel_args(n, p)`` gives the kernel's extra arguments.
     Only a unit with ``reads_p`` accepts an extension exponent p != 0.
     """
@@ -214,7 +214,6 @@ _U64, _I64, _INT = ctypes.c_uint64, ctypes.c_int64, ctypes.c_int
 _P_U64, _P_I64 = ctypes.POINTER(_U64), ctypes.POINTER(_I64)
 _SIGNATURES = {  # name: (restype, argtypes)
     "draw": (_U64, (_U64, _U64)),
-    "forward_value": (_U64, (_INT, _U64)),
     "add_fields": (None, (_INT, *[_U64] * 7, _P_U64)),
     "mul_fields": (None, (_INT, *[_U64] * 4, _P_U64)),
     **{f"sweep_{unit}": (_INT, (_INT, _P_I64, _INT, _P_U64, _P_U64, _P_U64,
@@ -348,10 +347,10 @@ def _kernel_run(kernels, unit: str, params: Params, fields: tuple[Field, ...], m
     ``sweep_<unit>`` of `kernels`, or None when the kernel declines the sweep.
 
     The kernel alone decides: asked with an empty range, once per spec
-    (``_kernel_call``), it runs exactly its unit's built-in spec, at widths
-    up to its SWEEP line's top (exhaustive sweeps up to its xtop; roundtrip
-    only where its New-CRT sum bound holds), and declines (returns 1) any
-    other.  A span or a largest value past 2^64 - 1, which ctypes would
+    (``_kernel_call``), it runs exactly its unit's built-in spec where its
+    SWEEP line's ``fits(n, p)`` holds (exhaustive sweeps only below 2^63
+    cases, a bound derived from its ``<unit>_spec`` table), and declines
+    (returns 1) any other.  A span or a largest value past 2^64 - 1, which ctypes would
     wrap silently, never reaches it.  A kernel call releases the GIL, so
     runs of disjoint ranges run in parallel threads.
     """

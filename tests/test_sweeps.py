@@ -80,8 +80,6 @@ def test_scalar_kernels_match_python_dataflow():
     import random
 
     from cxrns.alu import _add_fields, _mul_fields
-    from cxrns.forward import forward_22n1
-    from cxrns.core import Params, dim1_value
 
     compiled = sweeps._kernels()
     rng = random.Random(3)
@@ -93,11 +91,6 @@ def test_scalar_kernels_match_python_dataflow():
         assert _fields4(compiled.add_fields, n, xr, xi, xz, yr, yb, yi, yc) == \
             _add_fields(n, xr, xi, xz, yr, yb, yi, yc)
         assert _fields4(compiled.mul_fields, n, xr, xi, yr, yi) == _mul_fields(n, xr, xi, yr, yi)
-    for _ in range(500):
-        n = rng.randint(2, 12)
-        p = Params(n)
-        z = rng.randrange((1 << n) * ((1 << (4 * n)) - 1))
-        assert compiled.forward_value(n, z) == dim1_value(forward_22n1(z, p))
 
 
 def test_compiler_on_path_builds_the_kernels():
@@ -285,7 +278,7 @@ def _backend(unit, n, p=0):
 
 @needs_compiled
 def test_compiled_support_gates(monkeypatch):
-    # The loaded kernels answer: a width past a kernel's top runs pure.
+    # The loaded kernels answer: a width past a kernel's gate runs pure.
     for unit in ("csa", "normalize"):
         assert _backend(unit, 2) == "compiled"
         assert _backend(unit, 31) == "compiled"
@@ -367,15 +360,22 @@ def test_every_unit_has_a_kernel():
 
 with open(sweeps._KERNELS_C) as _f:
     _SOURCE = _f.read()
-# SWEEP(unit, top, xtop, fits): one line per unit, in UNITS order.
-_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\d+), (\d+), (\w+)\)", _SOURCE, re.M)
-_TOP = {unit: int(top) for unit, top, _, _ in _SWEEP_LINES}
-_XTOP = {unit: int(xtop) for unit, _, xtop, _ in _SWEEP_LINES}
+# SWEEP(unit, fits): one line per unit, in UNITS order.
+_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\w+)\)", _SOURCE, re.M)
+# The widest n at which each kernel runs (its gate, at p = 0), as the CLI,
+# README and CI cite them; the kernels' fits predicates must agree.
+_TOP = {"adder": 31, "multiplier": 31, "checkpoint": 30, "forward": 12, "roundtrip": 10,
+        "compressor": 31, "csa": 31, "normalize": 31}
 
 
 def _exhaustive_cases(unit, n, p=0):
     fields, _ = sweeps.UNITS[unit].build(Params(n, p))
     return math.prod(f.span for f in fields)
+
+
+# The widest n at which each kernel runs exhaustive sweeps: below 2^63 cases.
+_XTOP = {unit: max(n for n in range(2, top + 1) if _exhaustive_cases(unit, n) <= sys.maxsize)
+         for unit, top in _TOP.items()}
 
 
 def _dynamic_range(n, p):
@@ -384,14 +384,14 @@ def _dynamic_range(n, p):
 
 
 def test_sweep_lines_declare_the_spec_shape():
-    # An exhaustive sweep past a SWEEP(unit, top, xtop, fits) line's
-    # xtop is declined, as is a width past top.  Width arms past top are dead
-    # code, and so are exhaustive loops of arms whose case space is too large
-    # to sweep.  (Which fields a kernel runs: the test below.)
-    assert [unit for unit, _, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
-    for unit, top, xtop, _ in _SWEEP_LINES:
-        assert int(xtop) == max([n for n in range(2, int(top) + 1)
-                                 if _exhaustive_cases(unit, n) <= sys.maxsize], default=0), unit
+    # A SWEEP(unit, fits) line names the predicate that says where its
+    # kernel is exact; the exhaustive bound comes from the unit's table.
+    # Width arms where fits fails are dead code, and so are exhaustive loops
+    # of arms whose case space is too large to sweep.  (Which widths and
+    # fields a kernel runs: the tests below.)
+    assert [unit for unit, _ in _SWEEP_LINES] == list(sweeps.UNITS)
+    for unit, fits in _SWEEP_LINES:
+        assert re.search(rf"^(#define {fits}\(|static int {fits}\()", _SOURCE, re.M), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
     assert [int(k) for k in arms] == list(range(2, max(_TOP.values()) + 1))
 
@@ -491,8 +491,8 @@ def _exhaustive_chunks_match_pure(unit, n, p=0, starts=None):
 @needs_compiled
 @pytest.mark.parametrize("unit", list(_TOP))
 def test_every_width_arm_matches_pure_reports(unit):
-    # Each width 2..top runs its own compiled case loop, with n a constant; its
-    # exhaustive loop, up to xtop, runs in vectorised blocks of cases.
+    # Each width 2..gate runs its own compiled case loop, with n a constant;
+    # its exhaustive loop, below 2^63 cases, runs in vectorised blocks.
     for n in range(2, _TOP[unit] + 1):
         for p in (0, n) if sweeps.UNITS[unit].reads_p else (0,):
             report = _pure_and_compiled(unit, n, p=p, mode="random", samples=300, seed=3)
@@ -566,7 +566,7 @@ _FOREIGN = {
 
 def _foreign_rows_run_pure(monkeypatch, group, unit):
     # A kernel runs only its unit's built-in spec.  At every width up to its
-    # top it declines each row of _FOREIGN[group][unit] in both modes, and
+    # gate it declines each row of _FOREIGN[group][unit] in both modes, and
     # the sweep gives the forced-pure run's report.
     real = sweeps.UNITS[unit]
     for change, faults in _FOREIGN[group][unit]:
@@ -605,8 +605,8 @@ def test_specs_of_another_shape_run_pure(monkeypatch, unit):
 @needs_compiled
 @pytest.mark.parametrize("unit", [unit for unit, top in _TOP.items() if top < 31])
 def test_widths_past_top_are_declined(unit):
-    # A SWEEP line's top is the kernel's only width bound: one past it, the
-    # kernel declines its unit's own spec, and the sweep runs pure.
+    # A SWEEP line's fits is the kernel's only width bound: one past the
+    # gate, the kernel declines its unit's own spec, and the sweep runs pure.
     top = _TOP[unit]
     assert _kernel_status(unit, top) == 0
     assert _kernel_status(unit, top + 1) == 1
@@ -647,13 +647,18 @@ def test_spans_past_64_bits_run_pure(monkeypatch):
 @needs_compiled
 def test_kernel_declines_exhaustive_sweeps_past_2_to_the_63():
     # An exhaustive case loop indexes fewer than 2^63 cases; past that its
-    # spans' product wraps, to 0 for both specs below, and divides by it.
-    # The kernel declines both: adder n = 31, past its xtop, and normalize at
-    # n = 30 with four fields of span 2^30, another spec than its own.
+    # spans' product wraps (to 0 for adder n = 31 and for the normalize spec
+    # below) and divides by it.  The kernel declines every built-in spec
+    # past 2^63 - 1 cases at a width it runs, and normalize at n = 30 with
+    # four fields of span 2^30, another spec than its own.
     kernels = sweeps._kernels()
-    params = Params(31)
-    fields, _ = sweeps.UNITS["adder"].build(params)
-    assert sweeps._kernel_run(kernels, "adder", params, fields, "exhaustive", 0) is None
+    for unit, top in _TOP.items():
+        for n in range(_XTOP[unit] + 1, top + 1):
+            params = Params(n)
+            fields, _ = sweeps.UNITS[unit].build(params)
+            assert math.prod(f.span for f in fields) > sys.maxsize, (unit, n)
+            assert sweeps._kernel_run(kernels, unit, params, fields, "exhaustive", 0) is None, \
+                (unit, n)
     params = Params(30)
     fields = tuple(f._replace(span=1 << 30) for f in sweeps.UNITS["normalize"].build(params)[0])
     assert math.prod(f.span for f in fields) == 1 << 120
@@ -681,7 +686,7 @@ print(sweeps._kernels().sweep_normalize(30, (sweeps._I64 * 5)(), 4, column(*[1 <
 @needs_compiled
 def test_every_built_in_spec_runs_compiled_up_to_top():
     # Every spec run_verify accepts (roundtrip at p = 0..n) runs compiled
-    # exactly where n is at most its SWEEP line's top, in both modes.
+    # exactly where n is at most its gate, in both modes.
     kernels = sweeps._kernels()
     for unit, spec in sweeps.UNITS.items():
         for n in range(2, 32):
