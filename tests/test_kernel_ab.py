@@ -15,7 +15,7 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "kernel_ab.py"
 @pytest.mark.skipif(not sweeps.compiled_available(), reason="no C compiler to build _kernels.c")
 def test_kernel_ab_appends_one_record_per_run(tmp_path):
     # The loaded library on both sides, so nothing compiles: one round of
-    # 1,000 cases of each of its sweeps (the benchmark's ten and the four of
+    # 1,000 cases of each of its sweeps (the benchmark's ten and the six of
     # NARROW), twice, appends two records whose sides agree on every call.
     out = tmp_path / "BENCH_kernels.json"
     lib = sweeps._kernels()._name
@@ -28,7 +28,7 @@ def test_kernel_ab_appends_one_record_per_run(tmp_path):
         assert len(records) == runs
     record = records[-1]
     assert record["base"]["sha256"] == record["change"]["sha256"]
-    assert len(record["sweeps"]) == 14
+    assert len(record["sweeps"]) == 16
     for name, sweep in record["sweeps"].items():
         assert sweep["cases"] == 1000, name
         assert sweep["same_result"] and sweep["result"] == [0, -1], name

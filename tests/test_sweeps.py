@@ -360,8 +360,8 @@ def test_every_unit_has_a_kernel():
 
 with open(sweeps._KERNELS_C) as _f:
     _SOURCE = _f.read()
-# SWEEP(unit, fits): one line per unit, in UNITS order.
-_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\w+)\)", _SOURCE, re.M)
+# SWEEP(unit, fits, bits): one line per unit, in UNITS order.
+_SWEEP_LINES = re.findall(r"^SWEEP\((\w+), (\w+), (\w+)\)", _SOURCE, re.M)
 # The widest n at which each kernel runs (its gate, at p = 0), as the CLI,
 # README and CI cite them; the kernels' fits predicates must agree.
 _TOP = {"adder": 31, "multiplier": 31, "checkpoint": 30, "forward": 12, "roundtrip": 10,
@@ -384,14 +384,16 @@ def _dynamic_range(n, p):
 
 
 def test_sweep_lines_declare_the_spec_shape():
-    # A SWEEP(unit, fits) line names the predicate that says where its
-    # kernel is exact; the exhaustive bound comes from the unit's table.
-    # Width arms where fits fails are dead code, and so are exhaustive loops
-    # of arms whose case space is too large to sweep.  (Which widths and
-    # fields a kernel runs: the tests below.)
-    assert [unit for unit, _ in _SWEEP_LINES] == list(sweeps.UNITS)
-    for unit, fits in _SWEEP_LINES:
+    # A SWEEP(unit, fits, bits) line names the predicate that says where its
+    # kernel is exact and the unit's bound, the widest value its case
+    # function forms at width n; the exhaustive bound comes from the unit's
+    # table.  Width arms where fits fails are dead code, and so are
+    # exhaustive loops of arms whose case space is too large to sweep.
+    # (Which widths and fields a kernel runs: the tests below.)
+    assert [unit for unit, _, _ in _SWEEP_LINES] == list(sweeps.UNITS)
+    for unit, fits, bits in _SWEEP_LINES:
         assert re.search(rf"^(#define {fits}\(|static int {fits}\()", _SOURCE, re.M), unit
+        assert re.search(rf"^#define {bits}\(n\) ", _SOURCE, re.M), unit
     arms = re.findall(r"ARM\((\d+), __VA_ARGS__\)", _SOURCE)
     assert [int(k) for k in arms] == list(range(2, max(_TOP.values()) + 1))
 
@@ -721,7 +723,8 @@ def _planted(values):
     return h % 1009 == 0
 
 
-_PLANTED_C = """INLINE int planted(const uint64_t *v, int nf)
+# In the lane section, compiled at each lane width, as the case functions are.
+_PLANTED_C = """INLINE int L(planted)(const WORD *v, int nf)
 {
     uint64_t h = GOLDEN;
     for (int f = 0; f < nf; f++)
@@ -733,15 +736,35 @@ _PLANTED_C = """INLINE int planted(const uint64_t *v, int nf)
 
 
 def _planted_in_c(source):
-    """_kernels.c whose every <unit>_bad also fails where _planted holds."""
+    """_kernels.c whose every <unit>_bad, at each lane width, also fails
+    where _planted holds."""
     source = source.replace("/* --- case functions", _PLANTED_C + "/* --- case functions", 1)
     for unit, spec in sweeps.UNITS.items():
         arity = len(spec.build(Params(2))[0])
-        source, count = re.subn(rf"(INLINE int {unit}_bad\(.*?\n    return )(.*?);\n}}",
-                                rf"\1(\2) | planted(v, {arity});\n}}", source, flags=re.S)
+        source, count = re.subn(rf"(INLINE int L\({unit}_bad\)\(.*?\n    return )(.*?);\n}}",
+                                rf"\1(\2) | L(planted)(v, {arity});\n}}", source, flags=re.S)
         assert count == 1, unit
-    assert "planted(const uint64_t" in source
+    assert source.count("INLINE int L(planted)(const WORD *v, int nf)") == 1
     return source
+
+
+_LANE_BITS = (32, 64)
+
+
+def test_planted_fault_reaches_every_lane_instantiation(tmp_path):
+    # The preprocessed planted source: every <unit>_bad_<bits> of both lane
+    # widths returns its verdict or'ed with planted_<bits>, and nothing else
+    # calls it.
+    source = tmp_path / "_kernels.c"
+    source.write_text(_planted_in_c(_SOURCE))
+    text = subprocess.run([*_compiler(), "-std=c99", "-E", "-P", str(source)],
+                          capture_output=True, text=True, check=True).stdout
+    for bits in _LANE_BITS:
+        assert len(re.findall(rf"\bplanted_{bits}\(v, \d\)", text)) == len(sweeps.UNITS)
+        for unit, spec in sweeps.UNITS.items():
+            arity = len(spec.build(Params(2))[0])
+            body = re.search(rf"int {unit}_bad_{bits}\(.*?\n}}", text, re.S)
+            assert body and f"| planted_{bits}(v, {arity});" in body.group(0), (unit, bits)
 
 
 def _planted_in_pure(spec):
@@ -1017,6 +1040,48 @@ def test_planted_fault_in_csa_and_normalize_reported_identically(monkeypatch, pl
 def test_portable_random_loop_reports_planted_faults_like_pure(monkeypatch, planted_builds, unit):
     _use_planted(monkeypatch, planted_builds, "portable")
     _planted_reports(monkeypatch, unit, "random")
+
+
+# The widest n at which each unit's exhaustive loop runs on 32-bit lanes (0:
+# at none), as _kernels.c's header and README state them: its bound, the
+# widest value its case function forms, fits 32 bits, and the spans of its
+# decode counter multiply to at most 2^32.
+_LANES_32_TOP = {"adder": 7, "multiplier": 7, "checkpoint": 7, "forward": 6, "roundtrip": 0,
+                 "compressor": 7, "csa": 6, "normalize": 15}
+_LANE_ARMS = [(unit, n) for unit, top in _LANES_32_TOP.items()
+              for n in ((top, top + 1) if top else (2,))]
+
+
+def _planted_chunks_match_pure(unit, n, size=2000):
+    """Checks that the planted build in use reports (failures, first failing
+    index) like the planted pure case in chunks of `size` exhaustive cases,
+    at the start, the middle and the end of the space and where the first
+    field first steps, and returns their failures."""
+    params = Params(n)
+    fields, case = sweeps.UNITS[unit].build(params)
+    total = math.prod(f.span for f in fields)
+    step = math.prod(f.span for f in fields[1:])
+    run = sweeps._kernel_run(sweeps._kernels(), unit, params, fields, "exhaustive", 0)
+    assert run is not None, (unit, n)
+    failures = 0
+    for lo in sorted({0, max(0, step - size // 2), total // 2, max(0, total - size)}):
+        hi = min(total, lo + size)
+        bad = [idx for idx in range(lo, hi)
+               if operator.ne(*case(*oracle._case_at(fields, "exhaustive", 0, idx)))]
+        assert run(lo, hi) == (len(bad), bad[0] if bad else -1), (unit, n, lo)
+        failures += len(bad)
+    return failures
+
+
+@pytest.mark.parametrize("name", list(_MARCH))
+def test_planted_faults_at_both_lane_widths_match_pure(monkeypatch, planted_builds, name):
+    # Each unit's widest exhaustive arm on 32-bit lanes and its first on
+    # 64-bit ones (roundtrip, which runs none on 32-bit lanes: n = 2), in the
+    # native and the portable planted build: the same faults at the same
+    # first case as the pure engine.
+    _use_planted(monkeypatch, planted_builds, name)
+    for unit, n in _LANE_ARMS:
+        assert _planted_chunks_match_pure(unit, n) > 0, (unit, n)
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ Builds ``src/cxrns/_kernels.c`` at a git revision (the base, by default
 HEAD) and from the working tree (the change), each as ``cxrns.sweeps``
 builds it for its first sweep (same compiler, flags and export checks),
 loads both libraries into this one process and times the benchmark's ten
-sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) and four random
-sweeps no workload runs (NARROW) on each.  Every
+sweeps (``perfbench/bench.py``'s EXHAUSTIVE and RANDOM plans) and six sweeps
+no workload runs (NARROW), each with its own case count, on each.  Every
 round times each sweep once on each library, the best of three calls,
 alternating which library goes first.  One process and alternation keep
 host drift and code placement of the Python side out of the comparison;
@@ -51,14 +51,20 @@ from cxrns.oracle import case_count  # noqa: E402
 from bench import EXHAUSTIVE, RANDOM, Sweep, sweep_seeds  # noqa: E402
 from run import cpu_model  # noqa: E402
 
-RANDOM_CASES = 2_000_000  # per call, unless --cases says otherwise
+RANDOM_CASES = 2_000_000  # per call of a benchmark sweep, unless --cases says otherwise
 CALLS = 3  # a timed sample is the best of this many calls
 SEED = 1  # the random sweeps take the benchmark's seeds for --seed 1
-# Random sweeps that no benchmark workload runs: below n = 8 the draws by the
-# dynamic range 2^(n+p) (2^4n - 1) make more than two Mersenne chunks, and at
-# n = 31 csa's check sum takes all 64 bits of mod_m's widest folded remainder.
-NARROW = (Sweep("roundtrip", 5, "random"), Sweep("roundtrip", 7, "random"),
-          Sweep("forward", 5, "random"), Sweep("csa", 31, "random"))
+# Sweeps that no benchmark workload runs, each with its cases per call (unless
+# --cases says otherwise).  Random: below n = 8 the draws by the dynamic range
+# 2^(n+p) (2^4n - 1) make more than two Mersenne chunks, and at n = 31 csa's
+# check sum takes all 64 bits of mod_m's widest folded remainder.  Exhaustive:
+# multiplier n = 7, all its cases, is the widest arm whose loop runs on 32-bit
+# lanes, and n = 8, over its first 2^26 cases, the first on 64-bit lanes.
+NARROW = (Sweep("roundtrip", 5, "random", RANDOM_CASES),
+          Sweep("roundtrip", 7, "random", RANDOM_CASES),
+          Sweep("forward", 5, "random", RANDOM_CASES), Sweep("csa", 31, "random", RANDOM_CASES),
+          Sweep("multiplier", 7, "exhaustive", ((1 << 14) + 1) ** 2),
+          Sweep("multiplier", 8, "exhaustive", 1 << 26))
 
 
 def build(rev: str | None, cache: Path):
@@ -120,11 +126,12 @@ def quartiles(rates: list[float]) -> dict:
 
 
 def compare(base, change, rounds: int, cases: int | None) -> dict:
-    """Per-sweep rates of both libraries over `rounds` alternating rounds."""
-    plan = [(s, 0) for s in EXHAUSTIVE]
-    plan += zip(RANDOM + NARROW, sweep_seeds(SEED, len(RANDOM + NARROW)))
-    calls = {s.name: [sweep_call(lib, s.unit, s.n, s.mode, sseed, cases)
-                      for lib in (base, change)] for s, sseed in plan}
+    """Per-sweep rates of both libraries over `rounds` alternating rounds, each
+    call `cases` cases long (None: each sweep's own count)."""
+    seeds = dict(zip(RANDOM + NARROW, sweep_seeds(SEED, len(RANDOM + NARROW))))
+    calls = {s.name: [sweep_call(lib, s.unit, s.n, s.mode, seeds.get(s, 0),
+                                 cases or (s.samples if s in NARROW else None))
+                      for lib in (base, change)] for s in EXHAUSTIVE + RANDOM + NARROW}
     rates = {name: ([], []) for name in calls}
     same = {name: True for name in calls}
     results = {}
@@ -155,7 +162,7 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=15)
     parser.add_argument("--cases", type=int, default=None,
                         help="cases per call (default: an exhaustive sweep's whole space, "
-                             f"{RANDOM_CASES:,} random draws)")
+                             f"{RANDOM_CASES:,} random draws, a NARROW sweep's own count)")
     parser.add_argument("--out", default=str(ROOT / "BENCH_kernels.json"))
     args = parser.parse_args(argv)
     if args.rounds < 1 or (args.cases is not None and args.cases < 1):
